@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ConsistencyError, ShapeError
-from .semiring import NEG_INF, Matrix
+from .semiring import Matrix, from_int, from_int_grid, int_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
 
@@ -34,45 +35,32 @@ def _require_square(a: Matrix):
 def eigenvalue(a: Matrix) -> Fraction:
     """Maximum cycle mean of the complete digraph weighted by ``a``.
 
-    Karp's recurrence, run exactly over rationals: with walk[k][v] the best
-    weight of a k-edge walk from node 0 to v, the answer is
-    max_v min_k (walk[n][v] - walk[k][v]) / (n - k).
+    Karp's recurrence, run exactly on the integer grid of ``a``: with
+    walk[k][v] the best weight of a k-edge walk from node 0 to v, the answer
+    is max_v min_k (walk[n][v] - walk[k][v]) / (n - k).  Means are compared
+    by cross-multiplication, and only the answer becomes a ``Fraction``.
     """
     _require_square(a)
+    grid = int_grid(a, "eigenvalue")
     n = a.rows
-    grid = a.entries
-    prev = [NEG_INF] * n
-    prev[0] = _ZERO
-    table = [prev]
-    for _ in range(n):
-        cur = [NEG_INF] * n
-        for u in range(n):
-            w = prev[u]
-            if w is NEG_INF:
-                continue
-            row = grid[u]
-            for v in range(n):
-                cand = w + row[v]
-                if cur[v] is NEG_INF or cand > cur[v]:
-                    cur[v] = cand
-        table.append(cur)
-        prev = cur
-    best = None
-    last = table[n]
+    cols = list(zip(*grid))
+    # walks[k - 1][v] = walk[k][v] for k = 1..n, all finite as the digraph is
+    # complete; walk[0] is 0 at node 0 and -inf elsewhere
+    walks = [grid[0]]
+    for _ in range(n - 1):
+        prev = walks[-1]
+        walks.append([max(map(add, prev, col)) for col in cols])
+    last = walks[-1]
+    best_num, best_den = None, 1
     for v in range(n):
-        if last[v] is NEG_INF:
-            continue
-        worst = None
-        for k in range(n):
-            dk = table[k][v]
-            if dk is NEG_INF:
-                continue
-            mean = Fraction(last[v] - dk, n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+        worst_num, worst_den = (last[0], n) if v == 0 else (None, 1)
+        for k in range(1, n):
+            num, den = last[v] - walks[k - 1][v], n - k
+            if worst_num is None or num * worst_den < worst_num * den:
+                worst_num, worst_den = num, den
+        if best_num is None or worst_num * best_den > best_num * worst_den:
+            best_num, best_den = worst_num, worst_den
+    return from_int(a, best_num, best_den)
 
 
 def kleene_star(a: Matrix) -> StarResult:
@@ -82,11 +70,12 @@ def kleene_star(a: Matrix) -> StarResult:
     cycle has positive weight) followed by joining the zero diagonal.
     Divergence is decided by the exact sign of the eigenvalue.
     """
+    _require_square(a)
+    grid = [list(row) for row in int_grid(a, "kleene_star")]
     lam = eigenvalue(a)
     if lam > 0:
         return StarResult(False, None, lam)
     n = a.rows
-    grid = [list(row) for row in a.entries]
     for k in range(n):
         rowk = grid[k]
         for i in range(n):
@@ -97,9 +86,9 @@ def kleene_star(a: Matrix) -> StarResult:
                 if cand > rowi[j]:
                     rowi[j] = cand
     for i in range(n):
-        if grid[i][i] < _ZERO:
-            grid[i][i] = _ZERO
-    return StarResult(True, Matrix(grid), lam)
+        if grid[i][i] < 0:
+            grid[i][i] = 0
+    return StarResult(True, from_int_grid(a, grid), lam)
 
 
 def is_idempotent(a: Matrix) -> bool:

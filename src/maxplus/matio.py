@@ -11,6 +11,12 @@ Entries are decimals ("-1.5"), ratios ("-3/2") or integers; "-inf" is
 accepted only when parsing in extended mode.  Serialization is canonical
 (lowest-terms ratios, integers without a denominator), so parsing a
 serialized matrix reproduces it byte for byte.
+
+Parsing cost is bounded: a file may have at most ``MAX_DIM`` rows and
+columns, and each entry's numerator and denominator at most
+``MAX_ENTRY_BITS`` bits.  Kernels work over the common denominator of all
+entries, so coprime large denominators would multiply; the caps keep a
+hostile file from making that, or the parse itself, unbounded.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .semiring import NEG_INF, ExtMatrix, Matrix, Vector
 
 __all__ = [
     "HEADER",
+    "MAX_DIM",
+    "MAX_ENTRY_BITS",
     "parse_matrix",
     "serialize_matrix",
     "load_matrix",
@@ -33,6 +41,8 @@ __all__ = [
 ]
 
 HEADER = "tmat 1"
+MAX_DIM = 128
+MAX_ENTRY_BITS = 128
 
 
 def format_scalar(x, decimal: bool = False) -> str:
@@ -49,14 +59,26 @@ def format_vector(x: Vector, decimal: bool = False, sep: str = " ") -> str:
 
 
 def _parse_entry(token: str, extended: bool, lineno: int):
+    """One entry; numerator and denominator may have at most MAX_ENTRY_BITS bits."""
     if token == "-inf":
         if not extended:
             raise MatrixParseError('"-inf" entries need extended mode', lineno)
         return NEG_INF
+    # Fraction builds 10**exponent first, so a huge exponent is refused unparsed
+    _, e, exponent = token.lower().partition("e")
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise MatrixParseError(f"bad entry {token!r}", lineno) from None
+        huge = bool(e) and abs(int(exponent)) > MAX_ENTRY_BITS
+    except ValueError:
+        huge = False  # not an integer exponent; Fraction rejects the token below
+    if not huge:
+        try:
+            value = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise MatrixParseError(f"bad entry {token!r}", lineno) from None
+        huge = max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_ENTRY_BITS
+    if huge:
+        raise MatrixParseError(f"entry {token[:20]!r} exceeds {MAX_ENTRY_BITS} bits", lineno)
+    return value
 
 
 def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
@@ -82,6 +104,8 @@ def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
     n, m = int(parts[0]), int(parts[1])
     if n < 1 or m < 1:
         raise MatrixParseError("dimensions must be positive", lineno)
+    if n > MAX_DIM or m > MAX_DIM:
+        raise MatrixParseError(f"dimensions exceed {MAX_DIM}", lineno)
     body = lines[2:]
     if len(body) != n:
         raise MatrixParseError(

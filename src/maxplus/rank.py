@@ -8,7 +8,7 @@ from fractions import Fraction
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .permutation import Permutation
-from .semiring import Matrix, scalar
+from .semiring import Matrix, from_int, int_grid, scalar
 
 __all__ = [
     "PermanentResult",
@@ -35,25 +35,23 @@ class PermanentResult:
     witness: Permutation
 
 
-def _max_assignment(a: Matrix):
+def _max_assignment(cost):
     """Maximum-weight assignment via the O(n^3) potentials method, exactly.
 
-    Runs the shortest-augmenting-path Hungarian algorithm on the negated
-    weights.  Returns (column-of-row images, u, v) where the potentials
-    satisfy u[i] + v[j] <= -a[i, j] with equality on matched pairs, so the
-    tight edges carry every optimal permutation.
+    Runs the shortest-augmenting-path Hungarian algorithm on ``cost``, the
+    negated integer weights.  Returns (column-of-row images, u, v) where the
+    potentials satisfy u[i] + v[j] <= cost[i][j] with equality on matched
+    pairs, so the tight edges carry every optimal permutation.
     """
-    n = a.rows
-    cost = [[-e for e in row] for row in a.entries]
-    inf = float("inf")  # sentinel only; finite entries are Fractions throughout
-    u = [_ZERO] * (n + 1)
-    v = [_ZERO] * (n + 1)
+    n = len(cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [n] * (n + 1)  # p[j] = row matched to column j; column n is virtual
     way = [n] * (n + 1)
     for i in range(n):
         p[n] = i
         j0 = n
-        minv = [inf] * (n + 1)
+        minv = [None] * (n + 1)  # the first scan from row i sets every column
         used = [False] * (n + 1)
         while True:
             used[j0] = True
@@ -66,17 +64,18 @@ def _max_assignment(a: Matrix):
                 if used[j]:
                     continue
                 cur = row[j] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                m = minv[j]
+                if m is None or cur < m:
+                    minv[j] = m = cur
                     way[j] = j0
-                if delta is None or minv[j] < delta:
-                    delta = minv[j]
+                if delta is None or m < delta:
+                    delta = m
                     j1 = j
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
-                elif minv[j] != inf:
+                else:
                     minv[j] -= delta
             j0 = j1
             if p[j0] == n:
@@ -91,7 +90,7 @@ def _max_assignment(a: Matrix):
     return images, u[:n], v[:n]
 
 
-def _second_optimum_exists(a: Matrix, images, u, v) -> bool:
+def _second_optimum_exists(cost, images, u, v) -> bool:
     """Look for an alternating cycle of tight edges.
 
     Every optimal permutation uses only edges tight against the optimal
@@ -99,17 +98,17 @@ def _second_optimum_exists(a: Matrix, images, u, v) -> bool:
     row i -> row matched to j, over tight non-matching edges (i, j),
     contains a directed cycle.
     """
-    n = a.rows
+    n = len(cost)
     owner = [0] * n
     for i, j in enumerate(images):
         owner[j] = i
     succs = []
     for i in range(n):
-        row = a.entries[i]
+        row = cost[i]
         out = [
             owner[j]
             for j in range(n)
-            if j != images[i] and -row[j] == u[i] + v[j]
+            if j != images[i] and row[j] == u[i] + v[j]
         ]
         succs.append(out)
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
@@ -139,9 +138,11 @@ def permanent(a: Matrix) -> PermanentResult:
     """Tropical permanent with an optimal permutation and a uniqueness flag."""
     if not a.is_square:
         raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
-    images, u, v = _max_assignment(a)
-    value = sum((a[i, images[i]] for i in range(a.rows)), _ZERO)
-    unique = not _second_optimum_exists(a, images, u, v)
+    weights = int_grid(a, "permanent")
+    cost = [[-e for e in row] for row in weights]
+    images, u, v = _max_assignment(cost)
+    value = from_int(a, sum(weights[i][images[i]] for i in range(a.rows)))
+    unique = not _second_optimum_exists(cost, images, u, v)
     return PermanentResult(value, unique, Permutation(images))
 
 

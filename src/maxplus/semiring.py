@@ -7,11 +7,27 @@ join and absorbing for the product.  ``Matrix`` holds finite entries only,
 ``ExtMatrix`` also admits ``NEG_INF``.  Every value is immutable and every
 operation returns a fresh value, so everything here is safe to share
 between threads.
+
+Integer view.  Max-plus operations commute with positive scaling, so the
+matrix kernels run on plain ints.  Every matrix has an integer view: the
+grid of its entries times one positive common denominator D, with
+``NEG_INF`` stored as ``None``.  D is canonical, the least common
+denominator of the entries, so equal matrices have equal views, and
+equality and hashing compare views.  A kernel result is reduced to its
+canonical D as it is built: with D' = D / gcd(D, every numerator), each
+entry is divided by D / D'.  A matrix keeps whichever of its two forms it
+was built from and computes the other once, on first use, into a slot;
+two threads racing on that computation store equal values.  Only this
+module knows the format.  The closure and rank kernels run on
+:func:`int_grid`, a finite matrix times its D, and hand their results
+back through :func:`from_int_grid` and :func:`from_int`; a ``Fraction``
+is made only for an answer, or for ``entries`` when a caller asks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import PreconditionError, ShapeError
@@ -240,13 +256,45 @@ def _build_grid(rows, coerce):
     return grid
 
 
+def _canonical(num, den):
+    """Reduce an integer grid over ``den`` to the least common denominator."""
+    g = gcd(den, *(e for row in num for e in row if e is not None))
+    if g == 1:
+        return tuple(map(tuple, num)), den
+    return tuple(tuple(None if e is None else e // g for e in row) for row in num), den // g
+
+
 class ExtMatrix:
     """A rectangular matrix over the extended semiring (entries may be NEG_INF)."""
 
-    __slots__ = ("_grid",)
+    # _grid: Fraction rows; _ints: the integer view (rows, D).  At least one
+    # is set, and each is computed from the other once, on first use.
+    __slots__ = ("_grid", "_ints")
 
     def __init__(self, rows: Iterable[Iterable]):
         self._grid = _build_grid(rows, ext_scalar)
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, num, den: int):
+        """Wrap a rectangular grid of ints and None over ``den`` > 0."""
+        self = object.__new__(cls)
+        self._grid = None
+        self._ints = _canonical(num, den)
+        return self
+
+    def _int_view(self):
+        if self._ints is None:
+            grid = self._grid
+            den = lcm(*(e.denominator for row in grid for e in row if e is not NEG_INF))
+            self._ints = (
+                tuple(
+                    tuple(None if e is NEG_INF else e.numerator * (den // e.denominator) for e in row)
+                    for row in grid
+                ),
+                den,
+            )
+        return self._ints
 
     @classmethod
     def identity(cls, n: int) -> "ExtMatrix":
@@ -261,14 +309,19 @@ class ExtMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self._grid)
+        return len(self._grid or self._ints[0])
 
     @property
     def cols(self) -> int:
-        return len(self._grid[0])
+        return len((self._grid or self._ints[0])[0])
 
     @property
     def entries(self) -> tuple[tuple[ExtScalar, ...], ...]:
+        if self._grid is None:
+            num, den = self._ints
+            self._grid = tuple(
+                tuple(NEG_INF if e is None else Fraction(e, den) for e in row) for row in num
+            )
         return self._grid
 
     @property
@@ -277,36 +330,43 @@ class ExtMatrix:
 
     def __getitem__(self, ij) -> ExtScalar:
         i, j = ij
-        return self._grid[i][j]
+        return self.entries[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, ExtMatrix):
             return NotImplemented
-        return self._grid == other._grid
+        return self._int_view() == other._int_view()
 
     def __hash__(self):
-        return hash(self._grid)
+        return hash(self._int_view())
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in row) for row in self._grid)
+        body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"{type(self).__name__}({self.rows}x{self.cols}: {body})"
 
     def transpose(self):
-        return type(self)(zip(*self._grid))
+        num, den = self._int_view()
+        return type(self)._from_ints(list(zip(*num)), den)
 
     def oplus(self, other: "ExtMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("matrix shapes differ")
+        a, b, den = _common(self, other)
         grid = [
-            [tadd(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self._grid, other._grid)
+            [x if y is None or (x is not None and x >= y) else y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(a, b)
         ]
-        return _tightest(grid)
+        return _tightest(grid, den)
 
     def scale(self, lam):
         """Add ``lam`` to every finite entry."""
         lam = scalar(lam)
-        return type(self)([[tmul(lam, e) for e in row] for row in self._grid])
+        num, den = self._int_view()
+        common = lcm(den, lam.denominator)
+        factor = common // den
+        shift = lam.numerator * (common // lam.denominator)
+        grid = [[None if e is None else e * factor + shift for e in row] for row in num]
+        return type(self)._from_ints(grid, common)
 
     def __matmul__(self, other):
         if not isinstance(other, ExtMatrix):
@@ -321,45 +381,86 @@ class Matrix(ExtMatrix):
 
     def __init__(self, rows: Iterable[Iterable]):
         self._grid = _build_grid(rows, scalar)
+        self._ints = None
 
     def row(self, i: int) -> Vector:
-        return Vector(self._grid[i])
+        return Vector(self.entries[i])
 
     def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self._grid)
+        return Vector(row[j] for row in self.entries)
 
     def row_vectors(self) -> list[Vector]:
-        return [Vector(row) for row in self._grid]
+        return [Vector(row) for row in self.entries]
 
     def column_vectors(self) -> list[Vector]:
-        return [Vector(col) for col in zip(*self._grid)]
+        return [Vector(col) for col in zip(*self.entries)]
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-e for e in row] for row in self._grid])
+        num, den = self._int_view()
+        return Matrix._from_ints([[-e for e in row] for row in num], den)
 
 
-def _tightest(grid) -> ExtMatrix:
-    """Wrap a computed grid as a Matrix when finite, ExtMatrix otherwise."""
-    if all(e is not NEG_INF for row in grid for e in row):
-        return Matrix(grid)
-    return ExtMatrix(grid)
+def _tightest(num, den) -> ExtMatrix:
+    """Wrap a computed integer grid as a Matrix when finite, ExtMatrix otherwise."""
+    cls = ExtMatrix if any(None in row for row in num) else Matrix
+    return cls._from_ints(num, den)
+
+
+def _rescale(num, factor):
+    if factor == 1:
+        return num
+    return [[None if e is None else e * factor for e in row] for row in num]
+
+
+def _common(a: ExtMatrix, b: ExtMatrix):
+    """The integer views of ``a`` and ``b`` over their common denominator."""
+    (na, da), (nb, db) = a._int_view(), b._int_view()
+    den = lcm(da, db)
+    return _rescale(na, den // da), _rescale(nb, den // db), den
+
+
+# Package-internal: the closure and rank kernels run on these, so that only
+# this module knows the integer view.
+
+
+def int_grid(a: ExtMatrix, what: str) -> tuple[tuple[int, ...], ...]:
+    """The entries of ``a`` times its common denominator, as ints.
+
+    Max, + and comparison commute with positive scaling, so a max-plus
+    kernel may run on this grid and return its results through
+    :func:`from_int_grid` and :func:`from_int`, given the same ``a``.
+    Raises ``PreconditionError``, naming ``what``, if an entry is -inf.
+    """
+    num = a._int_view()[0]
+    if any(None in row for row in num):
+        raise PreconditionError(f"{what} requires finite entries")
+    return num
+
+
+def from_int_grid(a: ExtMatrix, grid) -> Matrix:
+    """The finite matrix whose integer grid, on the scale of ``a``, is ``grid``."""
+    return Matrix._from_ints(grid, a._int_view()[1])
+
+
+def from_int(a: ExtMatrix, value: int, divisor: int = 1) -> Fraction:
+    """The rational ``value / divisor``, given on the scale of ``a``."""
+    return Fraction(value, divisor * a._int_view()[1])
 
 
 def mat_mul(a: ExtMatrix, b: ExtMatrix) -> ExtMatrix:
     """Tropical matrix product: entry (i,j) is max over l of a[i,l] + b[l,j]."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = tuple(zip(*b.entries))
-    grid = []
-    for arow in a.entries:
-        out = []
-        for bcol in bt:
-            acc = NEG_INF
-            for x, y in zip(arow, bcol):
-                acc = tadd(acc, tmul(x, y))
-            out.append(acc)
-        grid.append(out)
-    return _tightest(grid)
+    an, bn, den = _common(a, b)
+    cols = list(zip(*bn))
+    grid = [
+        [
+            max((x + y for x, y in zip(row, col) if x is not None and y is not None), default=None)
+            for col in cols
+        ]
+        for row in an
+    ]
+    return _tightest(grid, den)
 
 
 def mat_vec(a: ExtMatrix, x: Vector) -> Vector:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from maxplus import (
+    NEG_INF,
     DistanceTable,
     ExtMatrix,
     Matrix,
@@ -11,7 +12,6 @@ from maxplus import (
     eigenvalue,
     from_matrix,
     kleene_star,
-    mat_mul,
     membership,
     scale,
 )
@@ -107,14 +107,38 @@ def rand_outside(rng, e):
             return x
 
 
+def brute_mat_mul(a, b):
+    """Tropical product as a grid, by the naive triple loop over Fraction entries."""
+    grid = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            best = NEG_INF
+            for k in range(a.cols):
+                x, y = a[i, k], b[k, j]
+                if x is not NEG_INF and y is not NEG_INF and (best is NEG_INF or x + y > best):
+                    best = x + y
+            row.append(best)
+        grid.append(row)
+    return grid
+
+
 def series_star(a):
-    """Brute-force star: join of the identity with the first n powers."""
-    acc = ExtMatrix.identity(a.rows)
-    power = ExtMatrix.identity(a.rows)
-    for _ in range(a.rows):
-        power = mat_mul(power, a)
-        acc = acc.oplus(power)
-    return acc
+    """Brute-force star: join of the identity with the first n powers.
+
+    Powers come from :func:`brute_mat_mul`, so no package kernel is involved.
+    """
+    n = a.rows
+    acc = [[Fraction(0) if i == j else NEG_INF for j in range(n)] for i in range(n)]
+    power = ExtMatrix(acc)
+    for _ in range(n):
+        power = ExtMatrix(brute_mat_mul(power, a))
+        for i in range(n):
+            for j in range(n):
+                x = power[i, j]
+                if x is not NEG_INF and (acc[i][j] is NEG_INF or x > acc[i][j]):
+                    acc[i][j] = x
+    return ExtMatrix(acc)
 
 
 def brute_permanent(a):

@@ -163,6 +163,13 @@ def test_exit_code_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_parse_error_over_entry_cap(tmp_path, capsys):
+    huge = tmp_path / "huge.tmat"
+    huge.write_text("tmat 1\n1 1\n1e100000\n")
+    assert main(["eigenvalue", str(huge)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_exit_code_usage(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -5,6 +5,8 @@ import pytest
 
 from maxplus import Matrix, MatrixParseError, NEG_INF, Permutation, Vector
 from maxplus.matio import (
+    MAX_DIM,
+    MAX_ENTRY_BITS,
     format_scalar,
     load_matrix,
     parse_matrix,
@@ -73,6 +75,25 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(MatrixParseError):
         parse_matrix("tmat 1\n2 2\n0 0\n")  # missing a row
+
+
+def test_parse_caps_dimensions():
+    for dims in (f"{MAX_DIM + 1} 1", f"1 {MAX_DIM + 1}"):
+        with pytest.raises(MatrixParseError, match="exceed") as err:
+            parse_matrix(f"tmat 1\n{dims}\n")
+        assert err.value.line == 2
+    wide = parse_matrix(f"tmat 1\n1 {MAX_DIM}\n" + " ".join(["0"] * MAX_DIM) + "\n")
+    assert wide.cols == MAX_DIM
+
+
+def test_parse_caps_entry_bits():
+    big = 2**MAX_ENTRY_BITS
+    for token in ("1e100000", "1e1_000_000_000", "-1e-100000", str(big), f"1/{big}"):
+        with pytest.raises(MatrixParseError, match="bits") as err:
+            parse_matrix(f"tmat 1\n2 1\n0\n{token}\n")
+        assert err.value.line == 4
+    edge = parse_matrix(f"tmat 1\n1 2\n{big - 1} -1/{big - 1}\n")
+    assert edge[0, 0] == big - 1 and edge[0, 1] == Fraction(-1, big - 1)
 
 
 def test_load_matrix_missing_file(tmp_path):

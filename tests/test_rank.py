@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from maxplus import (
+    ExtMatrix,
     Matrix,
     Permutation,
     PreconditionError,
@@ -44,6 +45,11 @@ def test_permanent_examples():
 def test_permanent_requires_square():
     with pytest.raises(ShapeError):
         permanent(Matrix([[0, 1]]))
+
+
+def test_permanent_rejects_neg_inf_entries():
+    with pytest.raises(PreconditionError):
+        permanent(ExtMatrix([[0, "-inf"], ["-inf", 0]]))
 
 
 def test_permanent_matches_brute_force():
