@@ -25,6 +25,7 @@ from .matio import (
     load_matrix,
     parse_permutation,
     parse_point,
+    parse_scalar,
     serialize_matrix,
 )
 from .metric import DistanceTable, classify, embed
@@ -136,7 +137,8 @@ def _cmd_interior(args) -> int:
 def _cmd_hclass(args) -> int:
     mat = _finite_matrix(args.file)
     sigma = parse_permutation(args.perm)
-    element = hclass_element(mat, sigma, args.lam)
+    lam = parse_scalar(args.lam, what="lambda")
+    element = hclass_element(mat, sigma, lam)
     sys.stdout.write(serialize_matrix(element, args.decimal))
     return 0
 

@@ -11,7 +11,7 @@ from .metric import DistanceClass, DistanceTable, classify, validate
 from .permutation import Permutation
 from .polytope import extremal_indices, membership
 from .rank import is_strongly_regular
-from .semiring import NEG_INF, ExtMatrix, Matrix, scalar
+from .semiring import NEG_INF, ExtMatrix, Matrix, from_int_grid, int_grid, scalar
 
 __all__ = [
     "IsometryGroup",
@@ -86,15 +86,6 @@ def unit_decompose(g: ExtMatrix) -> UnitDecomposition:
     return UnitDecomposition(diagonal, Permutation(images))
 
 
-def _preserves(table: DistanceTable, images) -> bool:
-    n = table.n
-    return all(
-        table.d(images[i], images[j]) == table.d(i, j)
-        for i in range(n)
-        for j in range(n)
-    )
-
-
 def isometry_group(table: DistanceTable) -> IsometryGroup:
     """All permutations of the points preserving the (possibly asymmetric) table.
 
@@ -104,9 +95,9 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     if validate(table).level < DistanceClass.SEMIMETRIC:
         raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
-    d = table.d
+    d = int_grid(table.values, "isometry_group")
     profile = [
-        tuple(sorted((d(i, k), d(k, i)) for k in range(n) if k != i)) for i in range(n)
+        tuple(sorted((d[i][k], d[k][i]) for k in range(n) if k != i)) for i in range(n)
     ]
     candidates = [
         [j for j in range(n) if profile[j] == profile[i]] for i in range(n)
@@ -125,7 +116,7 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
                 continue
             ok = True
             for k in range(i):
-                if d(images[k], j) != d(k, i) or d(j, images[k]) != d(i, k):
+                if d[images[k]][j] != d[k][i] or d[j][images[k]] != d[i][k]:
                     ok = False
                     break
             if ok:
@@ -166,12 +157,12 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
-    table = DistanceTable([[-e for e in row] for row in d.entries])
-    if not _preserves(table, sigma.images):
+    grid = int_grid(d, "hclass_element")
+    images = sigma.images
+    if any(grid[images[i]][images[j]] != e for i, row in enumerate(grid) for j, e in enumerate(row)):
         raise PreconditionError("permutation is not an isometry of the metric")
     inv = sigma.inverse()
-    grid = [[lam + e for e in d.entries[inv(i)]] for i in range(d.rows)]
-    return Matrix(grid)
+    return from_int_grid(d, [grid[inv(i)] for i in range(d.rows)]).scale(lam)
 
 
 def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:

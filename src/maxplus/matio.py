@@ -16,7 +16,9 @@ Parsing cost is bounded: a file may have at most ``MAX_DIM`` rows and
 columns, and each entry's numerator and denominator at most
 ``MAX_ENTRY_BITS`` bits.  Kernels work over the common denominator of all
 entries, so coprime large denominators would multiply; the caps keep a
-hostile file from making that, or the parse itself, unbounded.
+hostile file from making that, or the parse itself, unbounded.  The same
+caps hold for the scalars and points given on the command line
+(:func:`parse_scalar`, :func:`parse_point`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "load_matrix",
     "format_scalar",
     "format_vector",
+    "parse_scalar",
     "parse_point",
     "parse_permutation",
 ]
@@ -58,12 +61,13 @@ def format_vector(x: Vector, decimal: bool = False, sep: str = " ") -> str:
     return sep.join(format_scalar(e, decimal) for e in x)
 
 
-def _parse_entry(token: str, extended: bool, lineno: int):
-    """One entry; numerator and denominator may have at most MAX_ENTRY_BITS bits."""
-    if token == "-inf":
-        if not extended:
-            raise MatrixParseError('"-inf" entries need extended mode', lineno)
-        return NEG_INF
+def parse_scalar(token: str, line=None, what: str = "value") -> Fraction:
+    """One exact rational: a decimal ("-1.5"), a ratio ("-3/2") or an integer.
+
+    Its numerator and denominator may have at most MAX_ENTRY_BITS bits.
+    Raises ``MatrixParseError``, naming ``what`` and carrying ``line``.
+    """
+    token = token.strip()
     # Fraction builds 10**exponent first, so a huge exponent is refused unparsed
     _, e, exponent = token.lower().partition("e")
     try:
@@ -74,11 +78,19 @@ def _parse_entry(token: str, extended: bool, lineno: int):
         try:
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):
-            raise MatrixParseError(f"bad entry {token!r}", lineno) from None
+            raise MatrixParseError(f"bad {what} {token!r}", line) from None
         huge = max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_ENTRY_BITS
     if huge:
-        raise MatrixParseError(f"entry {token[:20]!r} exceeds {MAX_ENTRY_BITS} bits", lineno)
+        raise MatrixParseError(f"{what} {token[:20]!r} exceeds {MAX_ENTRY_BITS} bits", line)
     return value
+
+
+def _parse_entry(token: str, extended: bool, lineno: int):
+    if token == "-inf":
+        if not extended:
+            raise MatrixParseError('"-inf" entries need extended mode', lineno)
+        return NEG_INF
+    return parse_scalar(token, lineno, "entry")
 
 
 def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
@@ -139,14 +151,13 @@ def load_matrix(path, *, extended: bool = False) -> ExtMatrix:
 
 
 def parse_point(text: str) -> Vector:
-    """Comma-separated rationals, e.g. "0,-3/2,1.5"."""
+    """Comma-separated rationals, e.g. "0,-3/2,1.5"; at most MAX_DIM of them."""
     tokens = [t.strip() for t in text.split(",")]
-    if not tokens or any(not t for t in tokens):
+    if any(not t for t in tokens):
         raise MatrixParseError(f"bad point {text!r}")
-    try:
-        return Vector(Fraction(t) for t in tokens)
-    except (ValueError, ZeroDivisionError):
-        raise MatrixParseError(f"bad point {text!r}") from None
+    if len(tokens) > MAX_DIM:
+        raise MatrixParseError(f"point has more than {MAX_DIM} coordinates")
+    return Vector(parse_scalar(t, what="point coordinate") for t in tokens)
 
 
 def parse_permutation(text: str) -> Permutation:

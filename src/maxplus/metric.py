@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from fractions import Fraction
+from operator import add
 
 from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .polytope import interior_point, membership
 from .rank import is_strongly_regular
-from .semiring import Matrix, Vector, residuation, scalar
+from .semiring import Matrix, Vector, int_grid, residuation
 
 __all__ = [
     "DistanceClass",
@@ -58,41 +59,57 @@ class ValidationResult:
 
 
 class DistanceTable:
-    """A function d on pairs of [n] with exact rational values and zero diagonal."""
+    """A function d on pairs of [n] with exact rational values and zero diagonal.
 
-    __slots__ = ("_grid",)
+    The values are held as a finite ``Matrix``, so the kernels run on its
+    integer view; ``d`` and ``entries`` give ``Fraction``s.
+    """
+
+    __slots__ = ("_values",)
 
     def __init__(self, rows):
-        grid = tuple(tuple(scalar(e) for e in row) for row in rows)
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
+        values = Matrix(rows)
+        if not values.is_square:
             raise ShapeError("a distance table must be square and non-empty")
-        for i in range(n):
-            if grid[i][i] != _ZERO:
-                raise PreconditionError(f"self-distance of point {i + 1} is {grid[i][i]}, not 0")
-        self._grid = grid
+        grid = int_grid(values, "DistanceTable")
+        for i in range(values.rows):
+            if grid[i][i] != 0:
+                raise PreconditionError(f"self-distance of point {i + 1} is {values[i, i]}, not 0")
+        self._values = values
+
+    @classmethod
+    def _wrap(cls, values: Matrix) -> "DistanceTable":
+        """A table over a square matrix already known to have a zero diagonal."""
+        self = object.__new__(cls)
+        self._values = values
+        return self
 
     @property
     def n(self) -> int:
-        return len(self._grid)
+        return self._values.rows
+
+    @property
+    def values(self) -> Matrix:
+        """The d values as a matrix; :func:`to_matrix` gives their negation."""
+        return self._values
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._grid
+        return self._values.entries
 
     def d(self, i: int, j: int) -> Fraction:
-        return self._grid[i][j]
+        return self._values[i, j]
 
     def __eq__(self, other):
         if not isinstance(other, DistanceTable):
             return NotImplemented
-        return self._grid == other._grid
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self._grid)
+        return hash(self._values)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in row) for row in self._grid)
+        body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"DistanceTable({self.n} points: {body})"
 
 
@@ -103,36 +120,38 @@ def validate(table: DistanceTable) -> ValidationResult:
     then symmetry; the witness is the first violating triple or pair in
     row-major order.
     """
-    n = table.n
-    d = table.d
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d(i, j) > d(i, k) + d(k, j):
-                    return ValidationResult(DistanceClass.NOT_TRIANGLE, (i, k, j))
-    for i in range(n):
-        for j in range(n):
-            if i != j and (d(i, j) < 0 or d(i, j) == 0):
+    d = int_grid(table.values, "validate")
+    cols = list(zip(*d))
+    for i, row in enumerate(d):
+        for j, col in enumerate(cols):
+            dij = row[j]
+            if dij > min(map(add, row, col)):
+                k = next(k for k, (a, b) in enumerate(zip(row, col)) if dij > a + b)
+                return ValidationResult(DistanceClass.NOT_TRIANGLE, (i, k, j))
+    for i, row in enumerate(d):
+        for j, dij in enumerate(row):
+            if i != j and dij <= 0:
                 return ValidationResult(DistanceClass.PRE_SEMIMETRIC, (i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d(i, j) != d(j, i):
+    for i, row in enumerate(d):
+        for j in range(i + 1, len(d)):
+            if row[j] != d[j][i]:
                 return ValidationResult(DistanceClass.SEMIMETRIC, (i, j))
     return ValidationResult(DistanceClass.METRIC, None)
 
 
 def to_matrix(table: DistanceTable) -> Matrix:
     """The matrix of the distance function: entrywise negation."""
-    return Matrix([[-e for e in row] for row in table.entries])
+    return -table.values
 
 
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
     if not d.is_square:
         raise ShapeError(f"square matrix required, got {d.rows}x{d.cols}")
-    if any(d[i, i] != _ZERO for i in range(d.rows)):
+    grid = int_grid(d, "from_matrix")
+    if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
-    return DistanceTable([[-e for e in row] for row in d.entries])
+    return DistanceTable._wrap(-d)
 
 
 @dataclass(frozen=True)
@@ -172,16 +191,16 @@ def classify(a: Matrix) -> ClassificationReport:
     """
     if not a.is_square:
         raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
-    n = a.rows
+    grid = int_grid(a, "classify")
     idem = is_idempotent(a)
-    zero_diag = all(a[i, i] == _ZERO for i in range(n))
+    zero_diag = all(row[i] == 0 for i, row in enumerate(grid))
     star = kleene_star(a)
     kleene_fixed = star.converges and star.star == a
     sr = is_strongly_regular(a)
-    off_neg = all(a[i, j] < 0 for i in range(n) for j in range(n) if i != j)
+    off_neg = all(e < 0 for i, row in enumerate(grid) for j, e in enumerate(row) if i != j)
     symmetric = a == a.transpose()
-    cols_zero = all(max(a[i, j] for j in range(n)) == _ZERO for i in range(n))
-    rows_zero = all(max(a[i, j] for i in range(n)) == _ZERO for j in range(n))
+    cols_zero = all(max(row) == 0 for row in grid)
+    rows_zero = all(max(col) == 0 for col in zip(*grid))
     origin_col = _origin_interior(a, sr, idem)
     origin_row = _origin_interior(a.transpose(), sr, idem)
 

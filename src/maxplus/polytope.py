@@ -9,12 +9,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import sub
 from typing import Sequence
 
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .rank import is_strongly_regular
-from .semiring import Matrix, Vector, mat_vec, residuation, scale
+from .semiring import (
+    Matrix,
+    Vector,
+    from_int_scalars,
+    from_int_vector,
+    int_vectors,
+    mat_vec,
+    scaling_class,
+)
 
 __all__ = [
     "SpanMembership",
@@ -47,16 +56,21 @@ class SpanMembership:
     projection: Vector
 
 
+def _project(gens, xs):
+    """Maximal coefficients and their join, on ints over one denominator."""
+    lams = [min(map(sub, xs, g)) for g in gens]
+    terms = [[lam + a for a in g] for lam, g in zip(lams, gens)]
+    return lams, tuple([max(t) for t in zip(*terms)])
+
+
 def membership(generators: Sequence[Vector], x: Vector) -> SpanMembership:
     """Decide whether ``x`` lies in the tropical span of ``generators``."""
     gens = list(generators)
     if not gens:
         raise PreconditionError("membership requires at least one generator")
-    coeffs = tuple(residuation(g, x) for g in gens)
-    proj = scale(coeffs[0], gens[0])
-    for lam, g in zip(coeffs[1:], gens[1:]):
-        proj = proj.oplus(scale(lam, g))
-    return SpanMembership(proj == x, coeffs, proj)
+    (*gen_ints, xs), den = int_vectors(gens + [x])
+    lams, proj = _project(gen_ints, xs)
+    return SpanMembership(proj == xs, from_int_scalars(lams, den), from_int_vector(proj, den))
 
 
 def _require_strongly_regular_idempotent(e: Matrix, what: str):
@@ -82,29 +96,17 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     some coordinate of ``x`` alone.
     """
     _require_strongly_regular_idempotent(e, "interior_point")
-    cols = e.column_vectors()
-    mem = membership(cols, x)
-    if not mem.member:
+    (*cols, xs), _ = int_vectors(e.column_vectors() + [x])
+    lams, proj = _project(cols, xs)
+    if proj != xs:
         raise PreconditionError("point is not in the column space")
-    n = e.rows
-    lams = mem.coefficients
-    for j in range(n):
-        private = False
-        for i in range(n):
-            if lams[j] + e[i, j] != x[i]:
-                continue
-            if all(k == j or lams[k] + e[i, k] < x[i] for k in range(n)):
-                private = True
-                break
-        if not private:
-            return False
-    return True
-
-
-def _direction(v: Vector) -> tuple[Fraction, ...]:
-    # scaling-class canonical form: subtract the last coordinate
-    last = v[len(v) - 1]
-    return tuple(e - last for e in v)
+    # column j is private at coordinate i when it alone attains x[i] there
+    private = set()
+    for i, xi in enumerate(xs):
+        attaining = [j for j, (lam, col) in enumerate(zip(lams, cols)) if lam + col[i] == xi]
+        if len(attaining) == 1:
+            private.add(attaining[0])
+    return len(private) == len(cols)
 
 
 def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
@@ -118,7 +120,7 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
         raise PreconditionError("extremal_indices requires at least one vector")
     reps: dict[tuple, int] = {}
     for idx, v in enumerate(vecs):
-        reps.setdefault(_direction(v), idx)
+        reps.setdefault(scaling_class(v), idx)
     rep_idx = sorted(reps.values())
     if len(rep_idx) == 1:
         return rep_idx

@@ -9,25 +9,42 @@ operation returns a fresh value, so everything here is safe to share
 between threads.
 
 Integer view.  Max-plus operations commute with positive scaling, so the
-matrix kernels run on plain ints.  Every matrix has an integer view: the
-grid of its entries times one positive common denominator D, with
+kernels run on plain ints.  Every matrix and every vector has an integer
+view: its entries times one positive common denominator D, with
 ``NEG_INF`` stored as ``None``.  D is canonical, the least common
-denominator of the entries, so equal matrices have equal views, and
+denominator of the entries, so equal values have equal views, and
 equality and hashing compare views.  A kernel result is reduced to its
 canonical D as it is built: with D' = D / gcd(D, every numerator), each
-entry is divided by D / D'.  A matrix keeps whichever of its two forms it
-was built from and computes the other once, on first use, into a slot;
-two threads racing on that computation store equal values.  Only this
-module knows the format.  The closure and rank kernels run on
+entry is divided by D / D'.  A matrix or vector keeps whichever of its two
+forms it was built from and computes the other once, on first use, into a
+slot; two threads racing on that computation store equal values.  The rows
+and columns of a matrix are vectors built from its view, and ``scale``,
+``residuation``, ``mat_vec`` and the vector order and lattice operations
+run on views; ``tadd`` and ``tmul`` are scalar conveniences that no kernel
+uses.
+
+Only this module knows the format.  The closure and rank kernels run on
 :func:`int_grid`, a finite matrix times its D, and hand their results
-back through :func:`from_int_grid` and :func:`from_int`; a ``Fraction``
-is made only for an answer, or for ``entries`` when a caller asks.
+back through :func:`from_int_grid` and :func:`from_int`; span membership
+runs on :func:`int_vectors`, generators and point over one D, and hands
+back through :func:`from_int_vector` and :func:`from_int_scalars`.  A
+``DistanceTable`` (in ``metric``) wraps the finite matrix of its values,
+so tables reach the same kernels through :func:`int_grid`.  A
+``Fraction`` is made only for an answer, or for ``entries`` when a caller
+asks.
+
+Tuples here are built from lists, not from generators.  CPython builds a
+tuple from a generator by resizing it, and a resized tuple, once freed,
+joins the free list of its final size, where it stays until a full
+collection.  The int kernels allocate few tracked objects, so full
+collections are rare, and those free lists held about a megabyte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Sequence, Union
 
 from .errors import PreconditionError, ShapeError
@@ -155,72 +172,124 @@ class Vector:
     incomparable pairs simply fail both tests.
     """
 
-    __slots__ = ("_entries",)
+    # _entries: Fraction tuple; _ints: the integer view (ints, D).  At least
+    # one is set, and each is computed from the other once, on first use.
+    __slots__ = ("_entries", "_ints")
 
     def __init__(self, entries: Iterable):
-        vals = tuple(scalar(e) for e in entries)
+        vals = tuple([scalar(e) for e in entries])
         if not vals:
             raise ShapeError("a vector needs at least one entry")
         self._entries = vals
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, ints, den: int) -> "Vector":
+        """Wrap a non-empty sequence of ints over ``den`` > 0."""
+        self = object.__new__(cls)
+        self._entries = None
+        self._ints = _reduced(ints, den)
+        return self
+
+    def _int_view(self):
+        if self._ints is None:
+            vals = self._entries
+            den = lcm(*[e.denominator for e in vals])
+            self._ints = tuple([e.numerator * (den // e.denominator) for e in vals]), den
+        return self._ints
 
     @classmethod
     def zeros(cls, n: int) -> "Vector":
-        return cls([_ZERO] * n)
+        if n < 1:
+            raise ShapeError("a vector needs at least one entry")
+        return cls._from_ints((0,) * n, 1)
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
+        if self._entries is None:
+            ints, den = self._ints
+            self._entries = tuple([Fraction(e, den) for e in ints])
         return self._entries
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._entries or self._ints[0])
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self._entries[i]
+        return self.entries[i]
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self._entries == other._entries
+        return self._int_view() == other._int_view()
 
     def __hash__(self):
-        return hash(self._entries)
+        return hash(self._int_view())
 
     def __repr__(self):
-        return "Vector([%s])" % ", ".join(str(e) for e in self._entries)
-
-    def _check_len(self, other: "Vector"):
-        if len(self) != len(other):
-            raise ShapeError(f"vector lengths differ: {len(self)} vs {len(other)}")
+        return "Vector([%s])" % ", ".join(str(e) for e in self.entries)
 
     def __le__(self, other: "Vector") -> bool:
-        self._check_len(other)
-        return all(a <= b for a, b in zip(self._entries, other._entries))
+        (a, b), _ = int_vectors((self, other))
+        return all(x <= y for x, y in zip(a, b))
 
     def __ge__(self, other: "Vector") -> bool:
-        self._check_len(other)
-        return all(a >= b for a, b in zip(self._entries, other._entries))
+        (a, b), _ = int_vectors((self, other))
+        return all(x >= y for x, y in zip(a, b))
 
     def __neg__(self) -> "Vector":
-        return Vector(-e for e in self._entries)
+        ints, den = self._int_view()
+        return Vector._from_ints([-e for e in ints], den)
 
     def oplus(self, other: "Vector") -> "Vector":
         """Componentwise max (the module addition)."""
-        self._check_len(other)
-        return Vector(max(a, b) for a, b in zip(self._entries, other._entries))
+        (a, b), den = int_vectors((self, other))
+        return Vector._from_ints(list(map(max, a, b)), den)
 
     def meet(self, other: "Vector") -> "Vector":
         """Componentwise min (the lattice meet, not a module operation)."""
-        self._check_len(other)
-        return Vector(min(a, b) for a, b in zip(self._entries, other._entries))
+        (a, b), den = int_vectors((self, other))
+        return Vector._from_ints(list(map(min, a, b)), den)
+
+
+def _reduced(ints, den):
+    """Finite ints over ``den``, reduced to their least common denominator."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return tuple(ints), den
+    return tuple([e // g for e in ints]), den // g
+
+
+def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
+    """The entries of equal-length ``vectors`` times one common denominator D.
+
+    Returns the int tuples and D.  Package-internal: as with
+    :func:`int_grid`, a max-plus kernel may run on these and return its
+    results through :func:`from_int_vector` and :func:`from_int_scalars`,
+    given the same D.  Raises ``ShapeError`` if the lengths differ.
+    """
+    views = [v._int_view() for v in vectors]
+    n = len(views[0][0])
+    for ints, _ in views:
+        if len(ints) != n:
+            raise ShapeError(f"vector lengths differ: {n} vs {len(ints)}")
+    den = lcm(*[d for _, d in views])
+    return [ints if d == den else tuple([e * (den // d) for e in ints]) for ints, d in views], den
+
+
+def _shift(den: int, lam: Fraction):
+    """(factor, shift, common) with x / den + lam == (x * factor + shift) / common."""
+    common = lcm(den, lam.denominator)
+    return common // den, lam.numerator * (common // lam.denominator), common
 
 
 def scale(lam, x: Vector) -> Vector:
     """Tropical scaling: add ``lam`` to every entry of ``x``."""
-    lam = scalar(lam)
-    return Vector(lam + e for e in x)
+    ints, den = x._int_view()
+    factor, shift, common = _shift(den, scalar(lam))
+    return Vector._from_ints([e * factor + shift for e in ints], common)
 
 
 def residuation(x: Vector, y: Vector) -> Fraction:
@@ -229,9 +298,19 @@ def residuation(x: Vector, y: Vector) -> Fraction:
     Returns the largest ``lam`` with ``scale(lam, x) <= y``, which is
     ``min(y_i - x_i)`` over all coordinates.
     """
-    if len(x) != len(y):
-        raise ShapeError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return min(b - a for a, b in zip(x, y))
+    (a, b), den = int_vectors((x, y))
+    return Fraction(min(map(sub, b, a)), den)
+
+
+def scaling_class(x: Vector) -> tuple[tuple[int, ...], int]:
+    """Package-internal: a key shared by ``x`` and its tropical scalings.
+
+    The integer view of ``x`` minus its last entry, over its least common
+    denominator; every length, 1 included, is accepted.
+    """
+    ints, den = x._int_view()
+    last = ints[-1]
+    return _reduced([e - last for e in ints], den)
 
 
 def projectivize(x: Vector) -> tuple[Fraction, ...]:
@@ -242,12 +321,12 @@ def projectivize(x: Vector) -> tuple[Fraction, ...]:
     """
     if len(x) < 2:
         raise PreconditionError("projectivization needs at least two coordinates")
-    last = x[len(x) - 1]
-    return tuple(e - last for e in x.entries[:-1])
+    ints, den = scaling_class(x)
+    return tuple([Fraction(e, den) for e in ints[:-1]])
 
 
 def _build_grid(rows, coerce):
-    grid = tuple(tuple(coerce(e) for e in row) for row in rows)
+    grid = tuple([tuple([coerce(e) for e in row]) for row in rows])
     if not grid or not grid[0]:
         raise ShapeError("a matrix needs at least one row and one column")
     width = len(grid[0])
@@ -258,10 +337,10 @@ def _build_grid(rows, coerce):
 
 def _canonical(num, den):
     """Reduce an integer grid over ``den`` to the least common denominator."""
-    g = gcd(den, *(e for row in num for e in row if e is not None))
+    g = gcd(den, *[e for row in num for e in row if e is not None])
     if g == 1:
-        return tuple(map(tuple, num)), den
-    return tuple(tuple(None if e is None else e // g for e in row) for row in num), den // g
+        return tuple([tuple(row) for row in num]), den
+    return tuple([tuple([None if e is None else e // g for e in row]) for row in num]), den // g
 
 
 class ExtMatrix:
@@ -286,12 +365,12 @@ class ExtMatrix:
     def _int_view(self):
         if self._ints is None:
             grid = self._grid
-            den = lcm(*(e.denominator for row in grid for e in row if e is not NEG_INF))
+            den = lcm(*[e.denominator for row in grid for e in row if e is not NEG_INF])
             self._ints = (
-                tuple(
-                    tuple(None if e is NEG_INF else e.numerator * (den // e.denominator) for e in row)
+                tuple([
+                    tuple([None if e is NEG_INF else e.numerator * (den // e.denominator) for e in row])
                     for row in grid
-                ),
+                ]),
                 den,
             )
         return self._ints
@@ -319,9 +398,9 @@ class ExtMatrix:
     def entries(self) -> tuple[tuple[ExtScalar, ...], ...]:
         if self._grid is None:
             num, den = self._ints
-            self._grid = tuple(
-                tuple(NEG_INF if e is None else Fraction(e, den) for e in row) for row in num
-            )
+            self._grid = tuple([
+                tuple([NEG_INF if e is None else Fraction(e, den) for e in row]) for row in num
+            ])
         return self._grid
 
     @property
@@ -360,11 +439,8 @@ class ExtMatrix:
 
     def scale(self, lam):
         """Add ``lam`` to every finite entry."""
-        lam = scalar(lam)
         num, den = self._int_view()
-        common = lcm(den, lam.denominator)
-        factor = common // den
-        shift = lam.numerator * (common // lam.denominator)
+        factor, shift, common = _shift(den, scalar(lam))
         grid = [[None if e is None else e * factor + shift for e in row] for row in num]
         return type(self)._from_ints(grid, common)
 
@@ -384,16 +460,20 @@ class Matrix(ExtMatrix):
         self._ints = None
 
     def row(self, i: int) -> Vector:
-        return Vector(self.entries[i])
+        num, den = self._int_view()
+        return Vector._from_ints(num[i], den)
 
     def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.entries)
+        num, den = self._int_view()
+        return Vector._from_ints([row[j] for row in num], den)
 
     def row_vectors(self) -> list[Vector]:
-        return [Vector(row) for row in self.entries]
+        num, den = self._int_view()
+        return [Vector._from_ints(row, den) for row in num]
 
     def column_vectors(self) -> list[Vector]:
-        return [Vector(col) for col in zip(*self.entries)]
+        num, den = self._int_view()
+        return [Vector._from_ints(col, den) for col in zip(*num)]
 
     def __neg__(self) -> "Matrix":
         num, den = self._int_view()
@@ -447,6 +527,16 @@ def from_int(a: ExtMatrix, value: int, divisor: int = 1) -> Fraction:
     return Fraction(value, divisor * a._int_view()[1])
 
 
+def from_int_vector(ints: Sequence[int], den: int) -> Vector:
+    """The vector whose ints over the D of :func:`int_vectors` are ``ints``."""
+    return Vector._from_ints(ints, den)
+
+
+def from_int_scalars(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """The rationals whose ints over the D of :func:`int_vectors` are ``values``."""
+    return tuple([Fraction(v, den) for v in values])
+
+
 def mat_mul(a: ExtMatrix, b: ExtMatrix) -> ExtMatrix:
     """Tropical matrix product: entry (i,j) is max over l of a[i,l] + b[l,j]."""
     if a.cols != b.rows:
@@ -467,12 +557,15 @@ def mat_vec(a: ExtMatrix, x: Vector) -> Vector:
     """Apply ``a`` to a finite column vector; the result must stay finite."""
     if a.cols != len(x):
         raise ShapeError(f"cannot apply {a.rows}x{a.cols} to a vector of length {len(x)}")
+    (num, da), (xs, dx) = a._int_view(), x._int_view()
+    den = lcm(da, dx)
+    num = _rescale(num, den // da)
+    if dx != den:
+        xs = [v * (den // dx) for v in xs]
     out = []
-    for row in a.entries:
-        acc = NEG_INF
-        for e, v in zip(row, x):
-            acc = tadd(acc, tmul(e, v))
-        if acc is NEG_INF:
+    for row in num:
+        acc = max((e + v for e, v in zip(row, xs) if e is not None), default=None)
+        if acc is None:
             raise PreconditionError("matrix row is identically -inf; result leaves finite space")
         out.append(acc)
-    return Vector(out)
+    return Vector._from_ints(out, den)

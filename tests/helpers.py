@@ -123,6 +123,55 @@ def brute_mat_mul(a, b):
     return grid
 
 
+def brute_membership(generators, x):
+    """(member, coefficients, projection) by naive loops over Fraction entries.
+
+    Reads only the ``entries`` of the vectors; no package vector operation
+    is called.
+    """
+    gens = [g.entries for g in generators]
+    xs = x.entries
+    coeffs = []
+    for g in gens:
+        best = None
+        for a, b in zip(g, xs):
+            if best is None or b - a < best:
+                best = b - a
+        coeffs.append(best)
+    proj = []
+    for i in range(len(xs)):
+        best = None
+        for lam, g in zip(coeffs, gens):
+            if best is None or lam + g[i] > best:
+                best = lam + g[i]
+        proj.append(best)
+    return list(proj) == list(xs), tuple(coeffs), tuple(proj)
+
+
+def brute_validate(table):
+    """(level, witness) as the plain Fraction loops over ``table.d`` decide it.
+
+    Levels are the ints of ``DistanceClass``: 0 not triangle, 1
+    pre-semimetric, 2 semimetric, 3 metric.  Witness order is row-major.
+    """
+    n = table.n
+    d = table.d
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d(i, j) > d(i, k) + d(k, j):
+                    return 0, (i, k, j)
+    for i in range(n):
+        for j in range(n):
+            if i != j and d(i, j) <= 0:
+                return 1, (i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d(i, j) != d(j, i):
+                return 2, (i, j)
+    return 3, None
+
+
 def series_star(a):
     """Brute-force star: join of the identity with the first n powers.
 

@@ -201,3 +201,13 @@ def test_exit_code_consistency_failure(files, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "classify", boom)
     assert main(["classify", files["hex_sym"]]) == 4
     assert "consistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "1e3000000"])
+def test_bad_scalar_options_are_parse_errors(files, capsys, value):
+    assert main(["hclass", files["hex_sym"], "--perm", "1 3 2", "--lambda", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maxplus: parse error:") and "lambda" in err
+    assert main(["interior", files["hex_asym"], "--point", f"0,{value},0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maxplus: parse error:") and "point" in err

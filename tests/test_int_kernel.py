@@ -1,24 +1,49 @@
-"""Randomized oracle tests for the integer kernels: product, Karp, star, assignment.
+"""Randomized oracle tests for the integer kernels.
 
-Denominators are drawn from the primes up to 47, so the common denominator
-of a matrix grows large; every answer is compared with a brute-force
-Fraction oracle from ``helpers``.
+The matrix kernels (product, Karp, star, assignment) and the vector layer
+(``mat_vec``, residuation, span membership, extremals, ``validate`` and the
+isometry search over distance tables) are checked.  Denominators are drawn
+from the primes up to 47, so the common denominator of a matrix or of a
+set of vectors grows large; every answer is compared with a brute-force
+Fraction oracle from ``helpers`` or a naive loop written here.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from maxplus import (
     NEG_INF,
+    DistanceTable,
     ExtMatrix,
     Matrix,
+    PreconditionError,
+    Vector,
     eigenvalue,
+    extremal_indices,
+    from_matrix,
+    isometry_group,
     kleene_star,
     mat_mul,
+    mat_vec,
+    membership,
     permanent,
+    residuation,
+    scale,
+    to_matrix,
+    validate,
 )
 
-from helpers import brute_cycle_mean, brute_mat_mul, brute_permanent, series_star
+from helpers import (
+    brute_cycle_mean,
+    brute_isometries,
+    brute_mat_mul,
+    brute_membership,
+    brute_permanent,
+    brute_validate,
+    series_star,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -119,3 +144,206 @@ def test_value_equal_matrices_are_equal_and_hash_equal():
         assert len({hash(r) for r in routes}) == 1
         assert len(set(routes)) == 1
         assert all(r.entries == a.entries for r in routes)
+
+
+def prime_vector(rng, n):
+    return Vector(prime_scalar(rng) for _ in range(n))
+
+
+def naive_join(coeffs, gens):
+    """max over generators of coefficient + entry, on Fraction entries."""
+    return [max(lam + g.entries[i] for lam, g in zip(coeffs, gens)) for i in range(len(gens[0]))]
+
+
+def test_mat_vec_matches_naive_loop():
+    rng = random.Random(206)
+    for _ in range(80):
+        rows, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = ExtMatrix(prime_grid(rng, rows, n, rng.choice((0.0, 0.3, 0.7))))
+        x = prime_vector(rng, n)
+        expected = [
+            max((e + v for e, v in zip(row, x.entries) if e is not NEG_INF), default=None)
+            for row in a.entries
+        ]
+        if None in expected:
+            with pytest.raises(PreconditionError):
+                mat_vec(a, x)
+        else:
+            y = mat_vec(a, x)
+            assert y.entries == tuple(expected)
+            assert y == Vector(expected) and hash(y) == hash(Vector(expected))
+
+
+def test_residuation_matches_naive_min():
+    rng = random.Random(207)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        x, y = prime_vector(rng, n), prime_vector(rng, n)
+        assert residuation(x, y) == min(b - a for a, b in zip(x.entries, y.entries))
+
+
+def test_membership_matches_brute_force():
+    rng = random.Random(208)
+    members = 0
+    for _ in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        gens = [prime_vector(rng, n) for _ in range(k)]
+        if rng.random() < 0.5:  # a join of scaled generators is a member
+            x = Vector(naive_join([prime_scalar(rng) for _ in gens], gens))
+        else:
+            x = prime_vector(rng, n)
+        res = membership(gens, x)
+        member, coeffs, proj = brute_membership(gens, x)
+        assert res.member == member
+        assert res.coefficients == coeffs
+        assert all(type(c) is Fraction for c in res.coefficients)
+        assert res.projection.entries == proj
+        assert res.projection == Vector(proj)
+        members += member
+    assert 75 <= members < 150
+
+
+def test_extremal_indices_collapse_scaling_classes():
+    rng = random.Random(209)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        base = [prime_vector(rng, n) for _ in range(rng.randint(1, 4))]
+        vecs = base + [scale(prime_scalar(rng), v) for v in base]
+        rng.shuffle(vecs)
+        out = extremal_indices(vecs)
+        firsts = {}
+        for idx, v in enumerate(vecs):
+            key = tuple(e - v.entries[-1] for e in v.entries)
+            firsts.setdefault(key, idx)
+        assert set(out) <= set(firsts.values())
+        if n == 1:
+            assert out == [0]
+    assert extremal_indices([Vector([3]), Vector(["1/7"])]) == [0]
+
+
+def alphabet_table(rng, n, symmetric):
+    """Values from a small alphabet inside [a, 2a]: always a semimetric, often symmetric."""
+    a = prime_scalar(rng, 1, 30)
+    alphabet = [a, 2 * a] + [a + prime_scalar(rng, 0, 30) * a / 30 for _ in range(rng.randint(0, 2))]
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (not symmetric or i < j):
+                grid[i][j] = rng.choice(alphabet)
+                if symmetric:
+                    grid[j][i] = grid[i][j]
+    return grid
+
+
+def random_table(rng, n):
+    """Tables of every validation level, with prime denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return alphabet_table(rng, n, rng.random() < 0.5)
+    if kind == 1:  # a potential difference keeps the triangle inequality, may go negative
+        grid = alphabet_table(rng, n, rng.random() < 0.5)
+        f = [prime_scalar(rng, -20, 20) for _ in range(n)]
+        return [[grid[i][j] + f[j] - f[i] for j in range(n)] for i in range(n)]
+    if kind == 2:  # a repeated point: separation fails
+        grid = alphabet_table(rng, n, True)
+        if n >= 2:
+            grid[1] = list(grid[0])
+            for row in grid:
+                row[1] = row[0]
+            grid[0][1] = grid[1][0] = grid[1][1] = Fraction(0)
+        return grid
+    grid = prime_grid(rng, n, n)
+    for i in range(n):
+        grid[i][i] = Fraction(0)
+    return grid
+
+
+def test_validate_matches_brute_force():
+    rng = random.Random(210)
+    levels = set()
+    for _ in range(200):
+        table = DistanceTable(random_table(rng, rng.randint(1, 6)))
+        level, witness = brute_validate(table)
+        res = validate(table)
+        assert (int(res.level), res.witness) == (level, witness)
+        levels.add(level)
+    assert levels == {0, 1, 2, 3}
+
+
+def circulant_table(rng, n):
+    """d(i, j) depends on (j - i) mod n only, relabelled: the rotations are isometries."""
+    steps = alphabet_table(rng, n, rng.random() < 0.5)[0]
+    label = list(range(n))
+    rng.shuffle(label)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            grid[label[i]][label[j]] = steps[(j - i) % n]
+    return grid
+
+
+def test_isometry_group_matches_brute_force():
+    rng = random.Random(211)
+    orders = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            grid = circulant_table(rng, n)
+        else:
+            grid = alphabet_table(rng, n, rng.random() < 0.7)
+        table = DistanceTable(grid)
+        group = isometry_group(table)
+        assert sorted(p.images for p in group) == brute_isometries(table)
+        orders.add(group.order)
+    assert len(orders) >= 4
+
+
+def test_value_equal_vectors_are_equal_and_hash_equal():
+    half = Vector([Fraction(1, 2)])
+    assert scale(Fraction(1, 2), half) == Vector([1])
+    assert hash(scale(Fraction(1, 2), half)) == hash(Vector([1]))
+    assert Vector(["2/4", "0.5"]) == Vector([Fraction(1, 2)] * 2)
+    assert Vector.zeros(2) == Vector([0, "0/7"]) and hash(Vector.zeros(2)) == hash(Vector([0, 0]))
+
+    rng = random.Random(212)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        v = prime_vector(rng, n)
+        lam = prime_scalar(rng)
+        col = Matrix([[e, prime_scalar(rng)] for e in v.entries]).column_vectors()[0]
+        routes = [
+            v,
+            Vector(v.entries),
+            Vector(str(e) for e in v.entries),
+            col,
+            Matrix([list(v.entries)]).row(0),
+            Matrix([list(v.entries)]).row_vectors()[0],
+            scale(lam, scale(-lam, v)),
+            v.oplus(scale(-abs(lam) - 1, v)),
+            v.meet(scale(abs(lam) + 1, v)),
+            -(-v),
+            mat_vec(ExtMatrix.identity(n), v),
+        ]
+        assert all(r == v for r in routes)
+        assert len({hash(r) for r in routes}) == 1
+        assert all(r.entries == v.entries for r in routes)
+        assert all(v <= r and v >= r for r in routes)
+
+
+def test_value_equal_tables_are_equal_and_hash_equal():
+    rng = random.Random(213)
+    for _ in range(30):
+        grid = random_table(rng, rng.randint(1, 6))
+        table = DistanceTable(grid)
+        routes = [
+            table,
+            DistanceTable([[str(e) for e in row] for row in grid]),
+            DistanceTable(table.entries),
+            from_matrix(to_matrix(table)),
+            from_matrix(-Matrix(grid)),
+        ]
+        assert all(r == table for r in routes)
+        assert len({hash(r) for r in routes}) == 1
+        assert all(r.entries == table.entries for r in routes)
+        assert all(type(r.d(i, j)) is Fraction for r in routes for i in range(r.n) for j in range(r.n))
+        assert to_matrix(table) == Matrix([[-e for e in row] for row in grid])

@@ -12,6 +12,7 @@ from maxplus.matio import (
     parse_matrix,
     parse_permutation,
     parse_point,
+    parse_scalar,
     serialize_matrix,
 )
 
@@ -118,6 +119,28 @@ def test_parse_point():
         parse_point("1,,2")
     with pytest.raises(MatrixParseError):
         parse_point("a,b")
+
+
+def test_parse_scalar_shares_the_entry_caps():
+    assert parse_scalar(" -3/2 ") == Fraction(-3, 2)
+    assert parse_scalar("1.5e2") == 150
+    big = 2**MAX_ENTRY_BITS
+    for token in ("abc", "1/0", "-inf", ""):
+        with pytest.raises(MatrixParseError, match="bad lambda"):
+            parse_scalar(token, what="lambda")
+    for token in ("1e3000000", "1e-200", str(big), f"1/{big}"):
+        with pytest.raises(MatrixParseError, match="bits"):
+            parse_scalar(token)
+    assert parse_scalar(str(big - 1)) == big - 1
+
+
+def test_parse_point_caps():
+    for token in ("1e3000000", str(2**MAX_ENTRY_BITS), "1/0"):
+        with pytest.raises(MatrixParseError, match="point"):
+            parse_point(f"0,{token}")
+    with pytest.raises(MatrixParseError, match="coordinates"):
+        parse_point(",".join(["0"] * (MAX_DIM + 1)))
+    assert len(parse_point(",".join(["0"] * MAX_DIM))) == MAX_DIM
 
 
 def test_parse_permutation():
