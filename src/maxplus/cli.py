@@ -29,7 +29,7 @@ from .matio import (
     serialize_matrix,
 )
 from .metric import DistanceTable, classify, embed
-from .polytope import extremal_columns, interior_point, membership
+from .polytope import extremal_columns, in_span, interior_point
 from .semiring import Matrix
 from .svg import render_matrix
 
@@ -128,7 +128,7 @@ def _cmd_extremals(args) -> int:
 def _cmd_interior(args) -> int:
     mat = _finite_matrix(args.file)
     point = parse_point(args.point)
-    if not membership(mat.column_vectors(), point).member:
+    if not in_span(mat.column_vectors(), point):
         raise PreconditionError("point is not in the column space")
     print("interior" if interior_point(mat, point) else "boundary")
     return 0

@@ -11,8 +11,6 @@ from .semiring import Matrix, from_int, from_int_grid, int_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class StarResult:
@@ -104,7 +102,7 @@ def star_fixed_point_check(a: Matrix) -> bool:
     test is cross-checked against the computed closure.
     """
     _require_square(a)
-    direct = all(a[i, i] == _ZERO for i in range(a.rows)) and is_idempotent(a)
+    direct = all(a[i, i] == 0 for i in range(a.rows)) and is_idempotent(a)
     res = kleene_star(a)
     if res.converges:
         if (res.star == a) != direct:

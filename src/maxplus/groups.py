@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import is_idempotent, kleene_star
+from .closure import _require_square, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .metric import DistanceClass, DistanceTable, classify, validate
+from .metric import DistanceClass, DistanceTable, from_matrix, validate
 from .permutation import Permutation
-from .polytope import extremal_indices, membership
+from .polytope import extremal_indices, in_span
 from .rank import is_strongly_regular
 from .semiring import NEG_INF, ExtMatrix, Matrix, from_int_grid, int_grid, scalar
 
@@ -23,8 +23,6 @@ __all__ = [
     "hclass_element",
     "hclass_contains",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,7 @@ def _finite_positions(g: ExtMatrix):
 
 def is_unit(g: ExtMatrix) -> bool:
     """Exactly one finite entry in every row and every column."""
-    if not g.is_square:
-        raise ShapeError(f"square matrix required, got {g.rows}x{g.cols}")
+    _require_square(g)
     per_row = _finite_positions(g)
     if any(len(r) != 1 for r in per_row):
         return False
@@ -153,11 +150,12 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``.
     """
     lam = scalar(lam)
-    if not classify(d).is_metric_matrix:
+    _require_square(d)  # classify's test for a metric matrix, with its messages
+    grid = int_grid(d, "classify")
+    if any(row[i] != 0 for i, row in enumerate(grid)) or validate(from_matrix(d)).level < DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
-    grid = int_grid(d, "hclass_element")
     images = sigma.images
     if any(grid[images[i]][images[j]] != e for i, row in enumerate(grid) for j, e in enumerate(row)):
         raise PreconditionError("permutation is not an isometry of the metric")
@@ -194,22 +192,21 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
     e = _resolve_idempotent(m, idempotent)
     if not is_strongly_regular(e):
         raise PreconditionError("column space is not that of a strongly regular idempotent")
-    cols_e = e.column_vectors()
-    same_space = all(membership(cols_m, c).member for c in cols_e) and all(
-        membership(cols_e, c).member for c in cols_m
-    )
-    if not same_space:
-        raise PreconditionError("witness idempotent has a different column space")
+    if e is not m:  # m spans its own column space
+        cols_e = e.column_vectors()
+        same_space = all(in_span(cols_m, c) for c in cols_e) and all(
+            in_span(cols_e, c) for c in cols_m
+        )
+        if not same_space:
+            raise PreconditionError("witness idempotent has a different column space")
 
     cols_n = n.column_vectors()
-    columns_match = all(membership(cols_m, c).member for c in cols_n) and all(
-        membership(cols_n, c).member for c in cols_m
+    columns_match = all(in_span(cols_m, c) for c in cols_n) and all(
+        in_span(cols_n, c) for c in cols_m
     )
     if not columns_match:
         return False
     rows_n = n.row_vectors()
-    negated_rows_inside = all(membership(cols_m, -r).member for r in rows_n)
-    extremals_covered = all(
-        membership(rows_n, -cols_m[j]).member for j in extremal_indices(cols_m)
-    )
+    negated_rows_inside = all(in_span(cols_m, -r) for r in rows_n)
+    extremals_covered = all(in_span(rows_n, -cols_m[j]) for j in extremal_indices(cols_m))
     return negated_rows_inside and extremals_covered

@@ -111,9 +111,11 @@ def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
         raise MatrixParseError("missing dimensions line", lineno + 1)
     lineno, dims = lines[1]
     parts = dims.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    # isdigit would pass "²", which int() refuses; int() takes every decimal digit
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise MatrixParseError(f"bad dimensions line {dims!r}", lineno)
-    n, m = int(parts[0]), int(parts[1])
+    # a number with more digits than MAX_DIM exceeds it; int() refuses very long digit strings
+    n, m = [int(p) if len(p.lstrip("0")) <= len(str(MAX_DIM)) else MAX_DIM + 1 for p in parts]
     if n < 1 or m < 1:
         raise MatrixParseError("dimensions must be positive", lineno)
     if n > MAX_DIM or m > MAX_DIM:

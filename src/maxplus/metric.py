@@ -15,9 +15,9 @@ from enum import IntEnum
 from fractions import Fraction
 from operator import add
 
-from .closure import is_idempotent, kleene_star
+from .closure import _require_square, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .polytope import interior_point, membership
+from .polytope import interior_test
 from .rank import is_strongly_regular
 from .semiring import Matrix, Vector, int_grid, residuation
 
@@ -36,8 +36,6 @@ __all__ = [
     "embed",
     "residuation_bound_check",
 ]
-
-_ZERO = Fraction(0)
 
 
 class DistanceClass(IntEnum):
@@ -146,8 +144,7 @@ def to_matrix(table: DistanceTable) -> Matrix:
 
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
-    if not d.is_square:
-        raise ShapeError(f"square matrix required, got {d.rows}x{d.cols}")
+    _require_square(d)
     grid = int_grid(d, "from_matrix")
     if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
@@ -175,12 +172,8 @@ class ClassificationReport:
 
 
 def _origin_interior(a: Matrix, sr: bool, idem: bool) -> bool:
-    if not (sr and idem):
-        return False
-    origin = Vector.zeros(a.rows)
-    if not membership(a.column_vectors(), origin).member:
-        return False
-    return interior_point(a, origin)
+    # interior_test is None when the origin is outside the column space
+    return sr and idem and interior_test(a, Vector.zeros(a.rows)) is True
 
 
 def classify(a: Matrix) -> ClassificationReport:
@@ -189,8 +182,7 @@ def classify(a: Matrix) -> ClassificationReport:
     All flags are computed independently; the characterizations are provably
     equivalent, so any disagreement raises ``ConsistencyError``.
     """
-    if not a.is_square:
-        raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
+    _require_square(a)
     grid = int_grid(a, "classify")
     idem = is_idempotent(a)
     zero_diag = all(row[i] == 0 for i, row in enumerate(grid))
@@ -297,8 +289,8 @@ def residuation_bound_check(e: Matrix) -> bool:
             col_bracket = residuation(cols[i], cols[j])
             if e[i, j] > row_bracket or e[i, j] > col_bracket:
                 raise ConsistencyError(f"residuation bound violated at ({i}, {j})")
-            if e[j, j] == _ZERO and e[i, j] != row_bracket:
+            if e[j, j] == 0 and e[i, j] != row_bracket:
                 raise ConsistencyError(f"row residuation equality violated at ({i}, {j})")
-            if e[i, i] == _ZERO and e[i, j] != col_bracket:
+            if e[i, i] == 0 and e[i, j] != col_bracket:
                 raise ConsistencyError(f"column residuation equality violated at ({i}, {j})")
     return True

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .rank import is_strongly_regular
+from .rank import column_classes, is_strongly_regular
 from .semiring import (
     Matrix,
     Vector,
@@ -39,8 +39,6 @@ __all__ = [
     "polytrope_vertices_2d",
 ]
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class SpanMembership:
@@ -56,6 +54,15 @@ class SpanMembership:
     projection: Vector
 
 
+def _aligned(generators, x):
+    """The generators and the point as ints over one denominator: (gens, xs, D)."""
+    gens = list(generators)
+    if not gens:
+        raise PreconditionError("membership requires at least one generator")
+    (*gens, xs), den = int_vectors(gens + [x])
+    return gens, xs, den
+
+
 def _project(gens, xs):
     """Maximal coefficients and their join, on ints over one denominator."""
     lams = [min(map(sub, xs, g)) for g in gens]
@@ -65,17 +72,18 @@ def _project(gens, xs):
 
 def membership(generators: Sequence[Vector], x: Vector) -> SpanMembership:
     """Decide whether ``x`` lies in the tropical span of ``generators``."""
-    gens = list(generators)
-    if not gens:
-        raise PreconditionError("membership requires at least one generator")
-    (*gen_ints, xs), den = int_vectors(gens + [x])
-    lams, proj = _project(gen_ints, xs)
+    gens, xs, den = _aligned(generators, x)
+    lams, proj = _project(gens, xs)
     return SpanMembership(proj == xs, from_int_scalars(lams, den), from_int_vector(proj, den))
 
 
+def in_span(generators: Sequence[Vector], x: Vector) -> bool:
+    """Package-internal: ``membership(generators, x).member``, building no ``Fraction``."""
+    gens, xs, _ = _aligned(generators, x)
+    return _project(gens, xs)[1] == xs
+
+
 def _require_strongly_regular_idempotent(e: Matrix, what: str):
-    if not e.is_square:
-        raise ShapeError(f"square matrix required, got {e.rows}x{e.cols}")
     if not is_idempotent(e):
         raise PreconditionError(f"{what} requires an idempotent matrix")
     if not is_strongly_regular(e):
@@ -96,10 +104,21 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     some coordinate of ``x`` alone.
     """
     _require_strongly_regular_idempotent(e, "interior_point")
-    (*cols, xs), _ = int_vectors(e.column_vectors() + [x])
+    interior = interior_test(e, x)
+    if interior is None:
+        raise PreconditionError("point is not in the column space")
+    return interior
+
+
+def interior_test(e: Matrix, x: Vector) -> bool | None:
+    """Package-internal: :func:`interior_point` for a known strongly regular idempotent.
+
+    Returns ``None`` when ``x`` is outside the column space.
+    """
+    cols, xs, _ = _aligned(e.column_vectors(), x)
     lams, proj = _project(cols, xs)
     if proj != xs:
-        raise PreconditionError("point is not in the column space")
+        return None
     # column j is private at coordinate i when it alone attains x[i] there
     private = set()
     for i, xi in enumerate(xs):
@@ -127,7 +146,7 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
     out = []
     for idx in rep_idx:
         others = [vecs[k] for k in rep_idx if k != idx]
-        if not membership(others, vecs[idx]).member:
+        if not in_span(others, vecs[idx]):
             out.append(idx)
     return out
 
@@ -135,22 +154,18 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
 def extremal_columns(e: Matrix) -> list[int]:
     """Column indices generating the extremal points of the column space.
 
-    Only columns with a zero diagonal entry can be extremal, so the search
-    is restricted to those before deduplicating scaling classes.
+    Only columns with a zero diagonal entry can be extremal.  For an
+    idempotent E, zero-diagonal columns j and k are proportional exactly
+    when E[j, k] + E[k, j] == 0, and such a column is extremal exactly when
+    it is the first of its class (Butkovic, *Max-linear Systems*, Springer
+    2010).
     """
-    if not e.is_square:
-        raise ShapeError(f"square matrix required, got {e.rows}x{e.cols}")
-    if not is_idempotent(e):
-        raise PreconditionError("extremal_columns requires an idempotent matrix")
-    cols = e.column_vectors()
-    zero_diag = [j for j in range(e.rows) if e[j, j] == _ZERO]
-    local = extremal_indices([cols[j] for j in zero_diag])
-    return [zero_diag[k] for k in local]
+    return [cls[0] for cls in column_classes(e, "extremal_columns")[1]]
 
 
 def duality_map(a: Matrix, x: Vector) -> Vector:
     """Send a row-space point to the column space: x -> a * (-x)."""
-    if not membership(a.row_vectors(), x).member:
+    if not in_span(a.row_vectors(), x):
         raise PreconditionError("point is not in the row space")
     return mat_vec(a, -x)
 
@@ -164,9 +179,7 @@ def negation_closed(e: Matrix) -> bool:
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()
-    by_extremals = all(
-        membership(cols, -cols[j]).member for j in extremal_columns(e)
-    )
+    by_extremals = all(in_span(cols, -cols[j]) for j in extremal_columns(e))
     if symmetric != by_extremals:
         raise ConsistencyError("negation-closure tests disagree (symmetry vs extremals)")
     return symmetric
@@ -196,9 +209,7 @@ class PolytropeHRep:
 
 def halfspace_rep(e: Matrix) -> PolytropeHRep:
     """Halfspace description of the column space of a zero-diagonal idempotent."""
-    if not e.is_square:
-        raise ShapeError(f"square matrix required, got {e.rows}x{e.cols}")
-    if not is_idempotent(e) or any(e[i, i] != _ZERO for i in range(e.rows)):
+    if not is_idempotent(e) or any(e[i, i] != 0 for i in range(e.rows)):
         raise PreconditionError("halfspace_rep requires a zero-diagonal idempotent")
     return PolytropeHRep(e.rows, e.entries)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import is_idempotent
-from .errors import ConsistencyError, PreconditionError, ShapeError
+from .closure import _require_square, is_idempotent
+from .errors import ConsistencyError, PreconditionError
 from .permutation import Permutation
 from .semiring import Matrix, from_int, int_grid, scalar
 
@@ -18,8 +18,6 @@ __all__ = [
     "idempotent_rank",
     "idempotent_family",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,7 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
 
 def permanent(a: Matrix) -> PermanentResult:
     """Tropical permanent with an optimal permutation and a uniqueness flag."""
-    if not a.is_square:
-        raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
+    _require_square(a)
     weights = int_grid(a, "permanent")
     cost = [[-e for e in row] for row in weights]
     images, u, v = _max_assignment(cost)
@@ -151,56 +148,77 @@ def is_strongly_regular(a: Matrix) -> bool:
     return permanent(a).attaining_unique
 
 
+def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
+    """Package-internal: the integer grid of an idempotent and its column classes.
+
+    A class holds the zero-diagonal columns proportional to its first one,
+    by the rule E[j, k] + E[k, j] == 0; classes and their members are in
+    index order.  Raises ``PreconditionError``, naming ``what``, unless
+    ``e`` is idempotent.
+    """
+    if not is_idempotent(e):
+        raise PreconditionError(f"{what} requires an idempotent matrix")
+    grid = int_grid(e, what)
+    classes: list[list[int]] = []
+    for j, row in enumerate(grid):
+        if row[j] != 0:
+            continue
+        # proportionality is an equivalence, so each class's first column decides
+        for cls in classes:
+            if row[cls[0]] + grid[cls[0]][j] == 0:
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return grid, classes
+
+
 def zero_diag_regularity(e: Matrix) -> bool:
     """Regularity test special to zero-diagonal idempotents.
 
     Such a matrix has rank below n exactly when some off-diagonal pair
-    satisfies e[i, j] == -e[j, i]; the answer is cross-checked against the
-    permanent-based test.
+    satisfies e[i, j] + e[j, i] == 0, that is when two columns are
+    proportional (Butkovic, *Max-linear Systems*, 2010); the answer is
+    cross-checked against the permanent-based test.
     """
-    if not is_idempotent(e):
-        raise PreconditionError("zero_diag_regularity requires an idempotent matrix")
-    n = e.rows
-    if any(e[i, i] != _ZERO for i in range(n)):
+    grid, classes = column_classes(e, "zero_diag_regularity")
+    if any(row[i] != 0 for i, row in enumerate(grid)):
         raise PreconditionError("zero_diag_regularity requires an all-zero diagonal")
-    deficient = any(
-        e[i, j] == -e[j, i] for i in range(n) for j in range(i + 1, n)
-    )
-    result = not deficient
+    result = len(classes) == e.rows
     if result != is_strongly_regular(e):
         raise ConsistencyError("pairwise regularity test disagrees with the permanent")
     return result
 
 
 def idempotent_rank(e: Matrix) -> int:
-    """Number of extremal points of the column space, up to scaling."""
-    from .polytope import extremal_columns
+    """Number of extremal points of the column space, up to scaling.
 
-    return len(extremal_columns(e))
+    These are the classes of zero-diagonal columns j, k with
+    E[j, k] + E[k, j] == 0 (Butkovic, *Max-linear Systems*, 2010).
+    """
+    return len(column_classes(e, "idempotent_rank")[1])
 
 
 def idempotent_family(e: Matrix, lam) -> Matrix:
     """A distinct idempotent with the same column space as ``e``.
 
     Scales by ``lam < 0`` the lowest-index column expressible from the
-    other zero-diagonal columns.  Only rank-deficient idempotents admit
-    such a column; strongly regular input is an error.
+    other zero-diagonal columns: the lowest j with a nonzero diagonal
+    entry, or with a zero-diagonal partner k != j such that
+    E[j, k] + E[k, j] == 0 (Butkovic, *Max-linear Systems*, 2010).  Only
+    rank-deficient idempotents admit such a column; strongly regular input
+    is an error.
     """
-    from .polytope import membership
-
     lam = scalar(lam)
     if lam >= 0:
         raise PreconditionError("the scaling parameter must be negative")
-    if not is_idempotent(e):
-        raise PreconditionError("idempotent_family requires an idempotent matrix")
-    n = e.rows
-    cols = e.column_vectors()
-    zero_diag = [i for i in range(n) if e[i, i] == _ZERO]
-    for j in range(n):
-        gens = [cols[i] for i in zero_diag if i != j]
-        if gens and membership(gens, cols[j]).member:
-            grid = [list(row) for row in e.entries]
-            for i in range(n):
-                grid[i][j] += lam
-            return Matrix(grid)
-    raise PreconditionError("matrix is strongly regular: every column is essential")
+    grid, classes = column_classes(e, "idempotent_family")
+    paired = {j for cls in classes if len(cls) > 1 for j in cls}
+    redundant = [j for j, row in enumerate(grid) if row[j] != 0 or j in paired]
+    if not redundant:
+        raise PreconditionError("matrix is strongly regular: every column is essential")
+    j = redundant[0]
+    entries = [list(row) for row in e.entries]
+    for row in entries:
+        row[j] += lam
+    return Matrix(entries)

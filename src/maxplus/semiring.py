@@ -68,8 +68,6 @@ __all__ = [
     "mat_vec",
 ]
 
-_ZERO = Fraction(0)
-
 
 class MinusInf:
     """The bottom element.  Compares below every rational; use ``NEG_INF``."""
@@ -378,7 +376,7 @@ class ExtMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExtMatrix":
         """Zero diagonal, NEG_INF off the diagonal: the multiplicative neutral."""
-        return cls([[_ZERO if i == j else NEG_INF for j in range(n)] for i in range(n)])
+        return cls([[0 if i == j else NEG_INF for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExtMatrix":

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closure import is_idempotent
-from .errors import PreconditionError, ShapeError
+from .closure import _require_square, is_idempotent
+from .errors import PreconditionError
 from .polytope import extremal_columns, polytrope_vertices_2d
 from .rank import is_strongly_regular
 from .semiring import Matrix, projectivize
@@ -21,6 +21,7 @@ __all__ = ["render_matrix"]
 
 _SCALE = 40  # pixels per data unit
 _PAD_RATIO = Fraction(1, 10)
+_GRID_STEPS = 100  # at most this many grid steps span an axis, so output size is bounded
 
 _GRID = "#dddddd"
 _AXIS = "#999999"
@@ -83,16 +84,19 @@ class _Canvas:
             )
 
     def grid(self):
-        x = -((-self.xmin) // 1)  # ceil
+        # one line per data unit, or per whole number of units on wide canvases
+        span = max(self.xmax - self.xmin, self.ymax - self.ymin)
+        step = max(1, -(-span // _GRID_STEPS))  # ceil
+        x = -((-self.xmin) // step) * step  # the first multiple of step from xmin
         while x <= self.xmax:
             color = _AXIS if x == 0 else _GRID
             self.line((x, self.ymin), (x, self.ymax), color, 1)
-            x += 1
-        y = -((-self.ymin) // 1)
+            x += step
+        y = -((-self.ymin) // step) * step
         while y <= self.ymax:
             color = _AXIS if y == 0 else _GRID
             self.line((self.xmin, y), (self.xmax, y), color, 1)
-            y += 1
+            y += step
 
     def emit(self, comment: str) -> str:
         head = (
@@ -180,8 +184,7 @@ def _render_polytrope(e: Matrix) -> str:
 
 def render_matrix(e: Matrix) -> str:
     """SVG text for a 2x2 idempotent band or a 3x3 polytrope."""
-    if not e.is_square:
-        raise ShapeError(f"square matrix required, got {e.rows}x{e.cols}")
+    _require_square(e)
     if e.rows > 3:
         raise PreconditionError("render supports n <= 3")
     if e.rows == 1:

@@ -148,6 +148,26 @@ def brute_membership(generators, x):
     return list(proj) == list(xs), tuple(coeffs), tuple(proj)
 
 
+def brute_idempotent_family(e, lam):
+    """The member of ``idempotent_family`` found by a span-membership search.
+
+    Scales by ``lam`` the lowest-index column in the span of the other
+    zero-diagonal columns, deciding membership with :func:`brute_membership`;
+    ``None`` when no column is, as for strongly regular input.
+    """
+    n = e.rows
+    cols = e.column_vectors()
+    zero_diag = [i for i in range(n) if e[i, i] == 0]
+    for j in range(n):
+        gens = [cols[i] for i in zero_diag if i != j]
+        if gens and brute_membership(gens, cols[j])[0]:
+            grid = [list(row) for row in e.entries]
+            for row in grid:
+                row[j] += lam
+            return Matrix(grid)
+    return None
+
+
 def brute_validate(table):
     """(level, witness) as the plain Fraction loops over ``table.d`` decide it.
 

@@ -6,7 +6,7 @@ import pytest
 
 from maxplus import Matrix, Permutation, hclass_element
 from maxplus.cli import REPORT_SCHEMA, main
-from maxplus.matio import parse_matrix, serialize_matrix
+from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
 from maxplus.svg import render_matrix
 
 from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE
@@ -148,6 +148,19 @@ def test_render_band_2x2(files, tmp_path):
     assert out.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("unit", [10**6, (2**MAX_ENTRY_BITS - 1) // 3])
+def test_render_size_is_bounded(tmp_path, unit):
+    # a 2x2 band and a 3x3 polytrope with entries up to 3 * unit, within the entry cap
+    band = Matrix([[0, -unit], [-2 * unit, 0]])
+    polytrope = Matrix([[e * unit for e in row] for row in HEX_ASYM.entries])
+    for mat in (band, polytrope):
+        path = tmp_path / "big.tmat"
+        path.write_text(serialize_matrix(mat))
+        out = tmp_path / "big.svg"
+        assert main(["render", str(path), "-o", str(out)]) == 0
+        assert out.stat().st_size < 64_000
+
+
 def test_render_rejects_large_matrices(files, capsys):
     out = files["dir"] / "no.svg"
     assert main(["render", files["claw"], "-o", str(out)]) == 3
@@ -161,6 +174,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
     assert main(["classify", str(tmp_path / "missing.tmat")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dims", ["² 1", "9" * 5000 + " 1"], ids=["superscript", "5000-digits"])
+def test_exit_code_parse_error_on_dimensions(tmp_path, capsys, dims):
+    path = tmp_path / "dims.tmat"
+    path.write_text(f"tmat 1\n{dims}\n0\n", encoding="utf-8")
+    assert main(["eigenvalue", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("maxplus: parse error: line 2:")
 
 
 def test_exit_code_parse_error_over_entry_cap(tmp_path, capsys):

@@ -5,24 +5,40 @@ The matrix kernels (product, Karp, star, assignment) and the vector layer
 isometry search over distance tables) are checked.  Denominators are drawn
 from the primes up to 47, so the common denominator of a matrix or of a
 set of vectors grows large; every answer is compared with a brute-force
-Fraction oracle from ``helpers`` or a naive loop written here.
+Fraction oracle from ``helpers`` or a naive loop written here.  The
+pairwise rules that read the structure of an idempotent are checked
+against span membership, and counter gates pin how many products,
+assignments and span projections the audit entry points run.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import maxplus.polytope as polytope_module
+import maxplus.rank as rank_module
+import maxplus.semiring as semiring_module
 from maxplus import (
     NEG_INF,
     DistanceTable,
     ExtMatrix,
     Matrix,
+    Permutation,
     PreconditionError,
     Vector,
+    classify,
     eigenvalue,
+    extremal_columns,
     extremal_indices,
     from_matrix,
+    hclass_contains,
+    hclass_element,
+    idempotent_family,
+    idempotent_rank,
+    is_idempotent,
+    is_strongly_regular,
     isometry_group,
     kleene_star,
     mat_mul,
@@ -33,15 +49,18 @@ from maxplus import (
     scale,
     to_matrix,
     validate,
+    zero_diag_regularity,
 )
 
 from helpers import (
     brute_cycle_mean,
+    brute_idempotent_family,
     brute_isometries,
     brute_mat_mul,
     brute_membership,
     brute_permanent,
     brute_validate,
+    rand_metric,
     series_star,
 )
 
@@ -347,3 +366,114 @@ def test_value_equal_tables_are_equal_and_hash_equal():
         assert all(r.entries == table.entries for r in routes)
         assert all(type(r.d(i, j)) is Fraction for r in routes for i in range(r.n) for j in range(r.n))
         assert to_matrix(table) == Matrix([[-e for e in row] for row in grid])
+
+
+def spectral_projector(a):
+    """The join over critical nodes c of S[:, c] + S[c, :], for S the star of ``a``.
+
+    ``a`` must have eigenvalue 0.  The result is idempotent; its diagonal is
+    negative off the critical nodes, and its rank is the number of critical
+    classes.
+    """
+    n = a.rows
+    star = kleene_star(a).star
+    plus = mat_mul(a, star)
+    critical = [c for c in range(n) if plus[c, c] == 0]
+    return Matrix([[max(star[i, c] + star[c, j] for c in critical) for j in range(n)] for i in range(n)])
+
+
+def blown_up(rng, e, n):
+    """``e`` on n >= e.rows points, some repeated, conjugated by a diagonal.
+
+    Repeated points give proportional zero-diagonal columns, and the
+    diagonal conjugation keeps them proportional but unequal.
+    """
+    image = list(range(e.rows)) + [rng.randrange(e.rows) for _ in range(n - e.rows)]
+    rng.shuffle(image)
+    shift = [prime_scalar(rng, -10, 10) for _ in range(n)]
+    return Matrix([[e[image[i], image[j]] - shift[i] + shift[j] for j in range(n)] for i in range(n)])
+
+
+def eigenvalue_zero(rng, n):
+    """A matrix with eigenvalue 0; a small alphabet often gives several critical cycles."""
+    if rng.random() < 0.5:
+        a = prime_matrix(rng, n)
+    else:
+        alphabet = [prime_scalar(rng, -3, 3) for _ in range(3)]
+        a = Matrix([[rng.choice(alphabet) for _ in range(n)] for _ in range(n)])
+    return a.scale(-eigenvalue(a))
+
+
+def random_idempotent(rng, n):
+    """Zero-diagonal stars, spectral projectors, blown-up stars and family members."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        below = eigenvalue_zero(rng, n).scale(-rng.choice((0, 0, prime_scalar(rng, 1, 5))))
+        return kleene_star(below).star
+    if kind == 1:
+        return spectral_projector(eigenvalue_zero(rng, n))
+    if kind == 2:
+        return blown_up(rng, kleene_star(eigenvalue_zero(rng, rng.randint(1, n))).star, n)
+    e = spectral_projector(eigenvalue_zero(rng, n))
+    return e if is_strongly_regular(e) else idempotent_family(e, -prime_scalar(rng, 1, 30))
+
+
+def test_pairwise_rules_match_span_membership():
+    rng = random.Random(214)
+    negative_diag = deficient = 0
+    for _ in range(160):
+        n = rng.randint(1, 7)
+        e = random_idempotent(rng, n)
+        assert is_idempotent(e)
+        cols = e.column_vectors()
+        zero_diag = [j for j in range(n) if e[j, j] == 0]
+        by_membership = [zero_diag[k] for k in extremal_indices([cols[j] for j in zero_diag])]
+        assert extremal_columns(e) == by_membership
+        assert idempotent_rank(e) == len(by_membership)
+        if len(zero_diag) == n:
+            assert zero_diag_regularity(e) == (len(by_membership) == n)
+        lam = -prime_scalar(rng, 1, 30)
+        expected = brute_idempotent_family(e, lam)
+        if expected is None:
+            with pytest.raises(PreconditionError, match="strongly regular"):
+                idempotent_family(e, lam)
+        else:
+            assert idempotent_family(e, lam) == expected
+        negative_diag += len(zero_diag) < n
+        deficient += expected is not None
+    assert negative_diag >= 40 and deficient >= 60
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of products, assignments, ``membership`` calls and span projections."""
+    counts = Counter()
+    for module, name in (
+        (semiring_module, "mat_mul"),
+        (rank_module, "_max_assignment"),
+        (polytope_module, "membership"),
+        (polytope_module, "_project"),
+    ):
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_audit_entry_points_compute_each_fact_once(calls):
+    n = 16
+    m = to_matrix(rand_metric(random.Random(215), n))
+    assert classify(m).is_metric_matrix
+    assert (calls["mat_mul"], calls["_max_assignment"], calls["_project"]) == (1, 1, 2)
+    calls.clear()
+    hclass_element(m, Permutation.identity(n), 0)
+    assert not calls
+    assert extremal_columns(m) == list(range(n))
+    assert calls["membership"] == calls["_project"] == 0
+    calls.clear()
+    assert hclass_contains(m, m)
+    # n each for n's columns in m's span, m's columns in n's, the negated rows,
+    # the negated extremals and extremal_indices; none compares m with itself
+    assert calls["_project"] == 5 * n

@@ -87,6 +87,17 @@ def test_parse_caps_dimensions():
     assert wide.cols == MAX_DIM
 
 
+def test_parse_dimension_tokens_int_refuses():
+    # "²" passes str.isdigit, and int() refuses digit strings past its limit
+    for dims, message in (("² 1", "bad dimensions"), ("9" * 5000 + " 1", "exceed"), ("1 " + "9" * 5000, "exceed")):
+        with pytest.raises(MatrixParseError, match=message) as err:
+            parse_matrix(f"tmat 1\n{dims}\n0\n")
+        assert err.value.line == 2
+    with pytest.raises(MatrixParseError, match="positive"):
+        parse_matrix("tmat 1\n0 99999\n")
+    assert parse_matrix("tmat 1\n0001 002\n0 0\n").cols == 2
+
+
 def test_parse_caps_entry_bits():
     big = 2**MAX_ENTRY_BITS
     for token in ("1e100000", "1e1_000_000_000", "-1e-100000", str(big), f"1/{big}"):
