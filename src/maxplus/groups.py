@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .closure import _require_square, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .metric import DistanceClass, DistanceTable, from_matrix, validate
+from .metric import DistanceClass, DistanceTable, _square_grid, from_matrix, validate
 from .permutation import Permutation
 from .polytope import extremal_indices, in_span
 from .rank import is_strongly_regular
@@ -83,32 +83,90 @@ def unit_decompose(g: ExtMatrix) -> UnitDecomposition:
     return UnitDecomposition(diagonal, Permutation(images))
 
 
+def _require_group(found, n: int) -> list[tuple[int, ...]]:
+    """Check that a set of image tuples of degree ``n`` is a group; return generators.
+
+    The identity and every inverse must be in the set.  Then H = <T> grows
+    from {id}: each generator is the first element of the sorted set not
+    yet in H, and every new product must be in the set.  The set is a group
+    exactly when H reaches all of it.  By Lagrange each generator at least
+    doubles H, so |T| <= log2 |G| and the check costs O(|G| |T|)
+    compositions.
+    """
+    members = set(found)
+    identity = tuple(range(n))
+    if identity not in members:
+        # a finite nonempty set closed under composition holds the identity
+        raise ConsistencyError("isometry set is not closed under composition")
+    for p in members:
+        inv = [0] * n
+        for i, img in enumerate(p):
+            inv[img] = i
+        if tuple(inv) not in members:
+            raise ConsistencyError("isometry set is not closed under inversion")
+
+    gens: list[tuple[int, ...]] = []
+    group = {identity}
+    fresh: list[tuple[int, ...]] = []
+
+    def multiply(h, s):
+        q = tuple([h[j] for j in s])  # h * s
+        if q not in group:
+            if q not in members:
+                raise ConsistencyError("isometry set is not closed under composition")
+            group.add(q)
+            fresh.append(q)
+
+    for g in sorted(members):
+        if g in group:
+            continue
+        gens.append(g)
+        # the group so far is closed under the earlier generators, so only
+        # its products with g are new; each new element meets every generator
+        fresh.clear()
+        for h in list(group):
+            multiply(h, g)
+        for h in fresh:
+            for s in gens:
+                multiply(h, s)
+    return gens
+
+
 def isometry_group(table: DistanceTable) -> IsometryGroup:
     """All permutations of the points preserving the (possibly asymmetric) table.
 
-    Backtracking search pruned by each point's multiset of in/out distances;
-    the returned set is verified closed under composition and inverse.
+    Backtracking search: point 0 may go to any point with its multiset of
+    in/out distances, and every later point i only to a point at distance
+    (d(0, i), d(i, 0)) from the image of 0 with the multiset of i; each
+    leaf is checked against all earlier points.  The set found is verified
+    to be a group on a generating set (:func:`_require_group`).
     """
     if validate(table).level < DistanceClass.SEMIMETRIC:
         raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
     d = int_grid(table.values, "isometry_group")
-    profile = [
+    profiles = [
         tuple(sorted((d[i][k], d[k][i]) for k in range(n) if k != i)) for i in range(n)
     ]
-    candidates = [
-        [j for j in range(n) if profile[j] == profile[i]] for i in range(n)
-    ]
+    profile_ids: dict = {}
+    cls = [profile_ids.setdefault(p, len(profile_ids)) for p in profiles]
+    first = [j for j in range(n) if cls[j] == cls[0]]
+    # buckets[a][(d(a, j), d(j, a), class of j)] lists those points j in order
+    buckets: list[dict] = [{} for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            buckets[a].setdefault((d[a][j], d[j][a], cls[j]), []).append(j)
 
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
     images = [-1] * n
     taken = [False] * n
 
     def extend(i: int):
         if i == n:
-            found.append(Permutation(images))
+            found.append(tuple(images))
             return
-        for j in candidates[i]:
+        candidates = buckets[images[0]].get((d[0][i], d[i][0], cls[i]), ()) if i else first
+        for j in candidates:
             if taken[j]:
                 continue
             ok = True
@@ -124,15 +182,9 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
         images[i] = -1
 
     extend(0)
-    elements = tuple(sorted(found, key=lambda p: p.images))
-    group = set(elements)
-    for p in elements:
-        if p.inverse() not in group:
-            raise ConsistencyError("isometry set is not closed under inversion")
-        for q in elements:
-            if p * q not in group:
-                raise ConsistencyError("isometry set is not closed under composition")
-    return IsometryGroup(elements)
+    found.sort()
+    _require_group(found, n)
+    return IsometryGroup(tuple([Permutation(p) for p in found]))
 
 
 def commutes_with(g: ExtMatrix, d: ExtMatrix) -> bool:
@@ -150,8 +202,7 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``.
     """
     lam = scalar(lam)
-    _require_square(d)  # classify's test for a metric matrix, with its messages
-    grid = int_grid(d, "classify")
+    grid = _square_grid(d, "classify")  # classify's test for a metric matrix, with its messages
     if any(row[i] != 0 for i, row in enumerate(grid)) or validate(from_matrix(d)).level < DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:

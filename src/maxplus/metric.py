@@ -142,10 +142,18 @@ def to_matrix(table: DistanceTable) -> Matrix:
     return -table.values
 
 
+def _square_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
+    """``int_grid`` of a square ``Matrix``; an ``ExtMatrix`` is refused even when finite."""
+    _require_square(a)
+    grid = int_grid(a, what)
+    if not isinstance(a, Matrix):
+        raise PreconditionError(f"{what} requires a Matrix, not an ExtMatrix")
+    return grid
+
+
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
-    _require_square(d)
-    grid = int_grid(d, "from_matrix")
+    grid = _square_grid(d, "from_matrix")
     if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
     return DistanceTable._wrap(-d)
@@ -182,8 +190,7 @@ def classify(a: Matrix) -> ClassificationReport:
     All flags are computed independently; the characterizations are provably
     equivalent, so any disagreement raises ``ConsistencyError``.
     """
-    _require_square(a)
-    grid = int_grid(a, "classify")
+    grid = _square_grid(a, "classify")
     idem = is_idempotent(a)
     zero_diag = all(row[i] == 0 for i, row in enumerate(grid))
     star = kleene_star(a)

@@ -254,6 +254,81 @@ def brute_isometries(table):
     return sorted(out)
 
 
+def compose(p, q):
+    """Images of p * q, that is i -> p(q(i)), on image tuples."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def invert(p):
+    """Images of the inverse permutation, on image tuples."""
+    inv = [0] * len(p)
+    for i, img in enumerate(p):
+        inv[img] = i
+    return tuple(inv)
+
+
+def brute_is_group(elements):
+    """Whether a set of image tuples is a group, by composing every pair."""
+    s = set(elements)
+    return (
+        bool(s)
+        and all(invert(p) in s for p in s)
+        and all(compose(p, q) in s for p in s for q in s)
+    )
+
+
+def brute_generated(gens, n):
+    """The subgroup of S_n generated by image tuples, by closing under products."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+# Distance grids with known isometry groups: order n! for the uniform
+# metric U_n, 2n for the cycle C_n, 2^k k! for the cube Q_k, 120 for the
+# Petersen graph, and n for the directed cycle (rotations only).
+
+
+def uniform_grid(n):
+    return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+
+
+def cycle_grid(n):
+    return [[min((i - j) % n, (j - i) % n) for j in range(n)] for i in range(n)]
+
+
+def directed_cycle_grid(n):
+    """d(i, j) = (j - i) mod n: a semimetric, not a metric."""
+    return [[(j - i) % n for j in range(n)] for i in range(n)]
+
+
+def cube_grid(k):
+    return [[bin(i ^ j).count("1") for j in range(2**k)] for i in range(2**k)]
+
+
+def petersen_grid():
+    """Graph distance on 2-subsets of {0..4}: 1 if disjoint, 2 otherwise."""
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    return [[0 if p == q else (1 if not set(p) & set(q) else 2) for q in pairs] for p in pairs]
+
+
+def relabelled(rng, grid, factor):
+    """The table of ``grid`` with its points shuffled and distances scaled."""
+    n = len(grid)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return DistanceTable([[grid[perm[i]][perm[j]] * factor for j in range(n)] for i in range(n)])
+
+
 def same_column_space(a, b):
     cols_a = a.column_vectors()
     cols_b = b.column_vectors()

@@ -9,7 +9,7 @@ from maxplus.cli import REPORT_SCHEMA, main
 from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
 from maxplus.svg import render_matrix
 
-from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE
+from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE, uniform_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -82,6 +82,14 @@ def test_embed_decimal(files, capsys):
 def test_isometries(files, capsys):
     assert main(["isometries", files["hex_sym_dist"]]) == 0
     assert capsys.readouterr().out.strip() == "order 2: id, (2 3)"
+
+
+def test_isometries_of_seven_point_uniform_metric(tmp_path, capsys):
+    path = tmp_path / "u7.tmat"
+    path.write_text(serialize_matrix(Matrix(uniform_grid(7))))
+    assert main(["isometries", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("order 5040: id, ") and out.count(",") == 5039
 
 
 def test_extremals(files, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -5,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from maxplus import (
+    ConsistencyError,
     DistanceTable,
     ExtMatrix,
     Matrix,
@@ -22,8 +24,24 @@ from maxplus import (
     to_matrix,
     unit_decompose,
 )
+from maxplus.groups import _require_group
 
-from helpers import CLAW, HEX_ASYM, HEX_SYM, brute_isometries, rand_metric, rand_semimetric
+from helpers import (
+    CLAW,
+    HEX_ASYM,
+    HEX_SYM,
+    brute_generated,
+    brute_is_group,
+    brute_isometries,
+    cube_grid,
+    cycle_grid,
+    directed_cycle_grid,
+    petersen_grid,
+    rand_metric,
+    rand_semimetric,
+    relabelled,
+    uniform_grid,
+)
 
 SWAP23 = Permutation([0, 2, 1])
 
@@ -110,6 +128,87 @@ def test_isometry_group_matches_brute_force():
             assert got == brute_isometries(table)
     seven = rand_semimetric(rng, 7, symmetric=True)
     assert [p.images for p in isometry_group(seven)] == brute_isometries(seven)
+    # symmetric tables, where the search has many branches to keep
+    for grid in (uniform_grid(6), cycle_grid(7), directed_cycle_grid(6), cube_grid(2), CLAW.entries):
+        table = relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        assert [p.images for p in isometry_group(table)] == brute_isometries(table)
+
+
+@pytest.mark.parametrize(
+    "grid, order",
+    [
+        (cube_grid(4), 384),
+        (cycle_grid(32), 64),
+        (petersen_grid(), 120),
+        (uniform_grid(6), 720),
+        (directed_cycle_grid(9), 9),
+        (directed_cycle_grid(16), 16),
+    ],
+)
+def test_isometry_group_known_orders(grid, order):
+    rng = random.Random(len(grid) * order)
+    table = relabelled(rng, grid, Fraction(7, 3))
+    group = isometry_group(table)
+    assert group.order == order
+    images = [p.images for p in group]
+    assert images == sorted(set(images))
+    n = table.n
+    d = table.entries
+    for p in images:
+        assert all(d[p[i]][p[j]] == d[i][j] for i in range(n) for j in range(n))
+
+
+def _accepts(elements, n):
+    try:
+        gens = _require_group(elements, n)
+    except ConsistencyError:
+        return False
+    assert len(gens) <= math.floor(math.log2(len(set(elements))))
+    assert brute_generated(gens, n) == set(elements)
+    return True
+
+
+def test_require_group_matches_pairwise_closure():
+    s3 = list(permutations(range(3)))
+    for mask in range(2 ** len(s3)):
+        subset = [p for b, p in enumerate(s3) if mask >> b & 1]
+        assert _accepts(subset, 3) == brute_is_group(subset)
+
+    rng = random.Random(66)
+    accepted = 0
+    for n in (4, 5):
+        sym = list(permutations(range(n)))
+        for _ in range(200):
+            density = rng.choice((0.05, 0.3, 0.7))
+            subset = [p for p in sym if rng.random() < density]
+            assert _accepts(subset, n) == brute_is_group(subset)
+        for _ in range(30):
+            group = brute_generated(rng.sample(sym, 2), n)
+            assert _accepts(group, n) and brute_is_group(group)
+            accepted += 1
+            outsider = rng.choice([p for p in sym if p not in group] or sym)
+            for bad in (group - {rng.choice(sorted(group))}, group | {outsider}):
+                assert _accepts(bad, n) == brute_is_group(bad)
+    assert accepted == 60
+
+
+def test_require_group_messages():
+    with pytest.raises(ConsistencyError, match="inversion"):
+        _require_group([(0, 1, 2), (1, 2, 0)], 3)
+    with pytest.raises(ConsistencyError, match="composition"):
+        _require_group([(0, 1, 2), (1, 0, 2), (0, 2, 1)], 3)
+    with pytest.raises(ConsistencyError, match="composition"):
+        _require_group([(1, 0, 2)], 3)
+
+
+@pytest.mark.parametrize("grid", [cube_grid(3), cycle_grid(12), petersen_grid()])
+def test_require_group_rejects_any_missing_element(grid):
+    n = len(grid)
+    group = [p.images for p in isometry_group(DistanceTable(grid))]
+    assert len(_require_group(group, n)) <= math.floor(math.log2(len(group)))
+    for k in range(len(group)):
+        with pytest.raises(ConsistencyError):
+            _require_group(group[:k] + group[k + 1 :], n)
 
 
 def test_commutes_with_examples():
@@ -160,6 +259,9 @@ def test_hclass_element_errors():
         hclass_element(HEX_SYM, Permutation([1, 0, 2]), 0)
     with pytest.raises(PreconditionError, match="metric"):
         hclass_element(HEX_ASYM, Permutation.identity(3), 0)
+    # a finite ExtMatrix used to leak a TypeError from the negation
+    with pytest.raises(PreconditionError, match="ExtMatrix"):
+        hclass_element(ExtMatrix([[0, -1], [-1, 0]]), Permutation.identity(2), 0)
 
 
 def test_hclass_contains_examples():
