@@ -24,6 +24,7 @@ from .groups import (
     UnitDecomposition,
     commutes_with,
     hclass_contains,
+    hclass_decompose,
     hclass_element,
     is_unit,
     isometry_group,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .closure import _require_square, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
@@ -11,7 +12,16 @@ from .metric import DistanceClass, DistanceTable, _square_grid, from_matrix, val
 from .permutation import Permutation
 from .polytope import extremal_indices, in_span
 from .rank import is_strongly_regular
-from .semiring import NEG_INF, ExtMatrix, Matrix, from_int_grid, int_grid, scalar
+from .semiring import (
+    NEG_INF,
+    ExtMatrix,
+    Matrix,
+    from_int_grid,
+    from_int_scalars,
+    int_grid,
+    int_grids,
+    scalar,
+)
 
 __all__ = [
     "IsometryGroup",
@@ -21,6 +31,7 @@ __all__ = [
     "isometry_group",
     "commutes_with",
     "hclass_element",
+    "hclass_decompose",
     "hclass_contains",
 ]
 
@@ -194,28 +205,84 @@ def commutes_with(g: ExtMatrix, d: ExtMatrix) -> bool:
     return (g @ d) == (d @ g)
 
 
+def _is_metric(d: Matrix, grid) -> bool:
+    """Whether a square ``Matrix`` with int grid ``grid`` is a metric matrix.
+
+    Classify's definition: zero diagonal and ``validate`` level ``METRIC``.
+    """
+    return (
+        all(row[i] == 0 for i, row in enumerate(grid))
+        and validate(from_matrix(d)).level == DistanceClass.METRIC
+    )
+
+
+def _is_isometry(grid, images) -> bool:
+    return all(
+        grid[images[i]][images[j]] == e for i, row in enumerate(grid) for j, e in enumerate(row)
+    )
+
+
 def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     """The maximal-subgroup member indexed by an isometry and a scalar.
 
     Returns lam * P * d, i.e. ``d`` with rows permuted by sigma and shifted
     by lam.  The map (sigma, lam) -> element is a group isomorphism onto
-    the subgroup around ``d``.
+    the subgroup around ``d``; :func:`hclass_decompose` is its inverse.
     """
     lam = scalar(lam)
     grid = _square_grid(d, "classify")  # classify's test for a metric matrix, with its messages
-    if any(row[i] != 0 for i, row in enumerate(grid)) or validate(from_matrix(d)).level < DistanceClass.METRIC:
+    if not _is_metric(d, grid):
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
-    images = sigma.images
-    if any(grid[images[i]][images[j]] != e for i, row in enumerate(grid) for j, e in enumerate(row)):
+    if not _is_isometry(grid, sigma.images):
         raise PreconditionError("permutation is not an isometry of the metric")
     inv = sigma.inverse()
     return from_int_grid(d, [grid[inv(i)] for i in range(d.rows)]).scale(lam)
 
 
+def _decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
+    """:func:`hclass_decompose` for a metric matrix ``e`` and a finite ``Matrix`` ``n``.
+
+    Column j of lam * P_sigma * e is column j of ``e``, rows permuted by
+    sigma and shifted by lam.  Off its zero diagonal a metric matrix is
+    negative, so that column has its unique maximum lam in row sigma(j).
+    """
+    ge, gn, den = int_grids(e, n, "hclass_decompose")
+    images = [col.index(max(col)) for col in zip(*gn)]
+    if len(set(images)) != len(images) or not _is_isometry(ge, images):
+        return None
+    lam = gn[images[0]][0]
+    shift = [lam] * len(ge)
+    # row sigma(k) of n must be row k of e shifted by lam
+    if any(list(map(sub, gn[img], row)) != shift for img, row in zip(images, ge)):
+        return None
+    return Permutation(images), from_int_scalars((lam,), den)[0]
+
+
+def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
+    """The (sigma, lam) with ``n == hclass_element(e, sigma, lam)``, or ``None``.
+
+    ``e`` must be a metric matrix.  Its maximal subgroup is
+    {lam * P_sigma * e : sigma an isometry, lam rational}, isomorphic to
+    Isom(d) x Q, so ``None`` means that ``n`` lies outside the subgroup.
+    sigma is read from the column maxima of ``n`` and lam is their common
+    value; then sigma is checked to be an isometry and ``n`` is compared
+    with the element entry by entry, all in O(n^2) after the O(n^3)
+    metric check.
+    """
+    if not (e.is_square and n.is_square and e.rows == n.rows):
+        raise ShapeError("hclass_decompose requires square matrices of equal size")
+    grid = _square_grid(e, "hclass_decompose")
+    _square_grid(n, "hclass_decompose")
+    if not _is_metric(e, grid):
+        raise PreconditionError("hclass_decompose requires a metric matrix")
+    return _decompose(e, n)
+
+
 def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     if supplied is not None:
+        _square_grid(supplied, "hclass_contains")
         if not is_idempotent(supplied):
             raise PreconditionError("supplied witness is not idempotent")
         return supplied
@@ -229,16 +296,8 @@ def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     )
 
 
-def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> bool:
-    """Whether ``n`` lies in the maximal subgroup determined by ``m``.
-
-    ``m`` must span the column space of a strongly regular idempotent
-    (itself, a supplied witness, or its Kleene star).  Membership means the
-    column spaces coincide and the row space of ``n`` is the negated column
-    space, both decided by mutual span membership on generators.
-    """
-    if not (m.is_square and n.is_square and m.rows == n.rows):
-        raise ShapeError("hclass_contains requires square matrices of equal size")
+def _span_contains(m: Matrix, n: Matrix, idempotent: Matrix | None) -> bool:
+    """:func:`hclass_contains` by mutual span membership, for finite ``Matrix`` inputs."""
     cols_m = m.column_vectors()
     e = _resolve_idempotent(m, idempotent)
     if not is_strongly_regular(e):
@@ -261,3 +320,27 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
     negated_rows_inside = all(in_span(cols_m, -r) for r in rows_n)
     extremals_covered = all(in_span(rows_n, -cols_m[j]) for j in extremal_indices(cols_m))
     return negated_rows_inside and extremals_covered
+
+
+def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> bool:
+    """Whether ``n`` lies in the maximal subgroup determined by ``m``.
+
+    Membership means the column spaces of ``m`` and ``n`` coincide and
+    the row space of ``n`` is the negated column space.  Two routes decide
+    it.  When no witness is supplied and ``m`` is a metric matrix (zero
+    diagonal, ``validate`` level ``METRIC``), the subgroup is
+    {lam * P_sigma * m : sigma an isometry}, and the answer is whether
+    :func:`hclass_decompose` finds (sigma, lam): O(n^2) after the O(n^3)
+    metric check.  Otherwise ``m`` must span the column space of a
+    strongly regular idempotent (itself, a supplied witness, or its Kleene
+    star), and both conditions are decided by mutual span membership on
+    generators; the paper proves the product form only for metrics.
+    Every matrix must be a finite ``Matrix``.
+    """
+    if not (m.is_square and n.is_square and m.rows == n.rows):
+        raise ShapeError("hclass_contains requires square matrices of equal size")
+    grid = _square_grid(m, "hclass_contains")
+    _square_grid(n, "hclass_contains")
+    if idempotent is None and _is_metric(m, grid):
+        return _decompose(m, n) is not None
+    return _span_contains(m, n, idempotent)

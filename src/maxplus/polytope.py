@@ -14,12 +14,13 @@ from typing import Sequence
 
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .rank import column_classes, is_strongly_regular
+from .rank import column_classes, is_strongly_regular, zero_diag_classes
 from .semiring import (
     Matrix,
     Vector,
     from_int_scalars,
     from_int_vector,
+    int_grid,
     int_vectors,
     mat_vec,
     scaling_class,
@@ -163,6 +164,11 @@ def extremal_columns(e: Matrix) -> list[int]:
     return [cls[0] for cls in column_classes(e, "extremal_columns")[1]]
 
 
+def known_extremals(e: Matrix, what: str) -> list[int]:
+    """Package-internal: :func:`extremal_columns` of a matrix known to be idempotent."""
+    return [cls[0] for cls in zero_diag_classes(int_grid(e, what))]
+
+
 def duality_map(a: Matrix, x: Vector) -> Vector:
     """Send a row-space point to the column space: x -> a * (-x)."""
     if not in_span(a.row_vectors(), x):
@@ -179,7 +185,7 @@ def negation_closed(e: Matrix) -> bool:
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()
-    by_extremals = all(in_span(cols, -cols[j]) for j in extremal_columns(e))
+    by_extremals = all(in_span(cols, -cols[j]) for j in known_extremals(e, "negation_closed"))
     if symmetric != by_extremals:
         raise ConsistencyError("negation-closure tests disagree (symmetry vs extremals)")
     return symmetric
@@ -252,6 +258,14 @@ def polytrope_vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
     _require_strongly_regular_idempotent(e, "polytrope_vertices_2d")
     if e.rows != 3:
         raise PreconditionError("vertex enumeration is implemented for 3x3 matrices only")
+    return vertices_2d(e)
+
+
+def vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
+    """Package-internal: :func:`polytrope_vertices_2d` without its checks.
+
+    ``e`` is a 3x3 matrix already known to be a strongly regular idempotent.
+    """
     u_lo, u_hi = e[0, 2], -e[2, 0]
     v_lo, v_hi = e[1, 2], -e[2, 1]
     w_lo, w_hi = e[0, 1], -e[1, 0]  # w = u - v

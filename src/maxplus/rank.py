@@ -159,6 +159,14 @@ def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], l
     if not is_idempotent(e):
         raise PreconditionError(f"{what} requires an idempotent matrix")
     grid = int_grid(e, what)
+    return grid, zero_diag_classes(grid)
+
+
+def zero_diag_classes(grid) -> list[list[int]]:
+    """Package-internal: the classes of :func:`column_classes`.
+
+    ``grid`` is the int grid of a matrix already known to be idempotent.
+    """
     classes: list[list[int]] = []
     for j, row in enumerate(grid):
         if row[j] != 0:
@@ -170,7 +178,7 @@ def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], l
                 break
         else:
             classes.append([j])
-    return grid, classes
+    return classes
 
 
 def zero_diag_regularity(e: Matrix) -> bool:

@@ -25,9 +25,10 @@ uses.
 
 Only this module knows the format.  The closure and rank kernels run on
 :func:`int_grid`, a finite matrix times its D, and hand their results
-back through :func:`from_int_grid` and :func:`from_int`; span membership
-runs on :func:`int_vectors`, generators and point over one D, and hands
-back through :func:`from_int_vector` and :func:`from_int_scalars`.  A
+back through :func:`from_int_grid` and :func:`from_int`.  Span membership
+runs on :func:`int_vectors`, generators and point over one D, and the
+H-class decomposition on :func:`int_grids`, two matrices over one D; both
+hand back through :func:`from_int_vector` and :func:`from_int_scalars`.  A
 ``DistanceTable`` (in ``metric``) wraps the finite matrix of its values,
 so tables reach the same kernels through :func:`int_grid`.  A
 ``Fraction`` is made only for an answer, or for ``entries`` when a caller
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import PreconditionError, ShapeError
@@ -515,6 +516,18 @@ def int_grid(a: ExtMatrix, what: str) -> tuple[tuple[int, ...], ...]:
     return num
 
 
+def int_grids(a: ExtMatrix, b: ExtMatrix, what: str):
+    """The entries of ``a`` and ``b`` times one common denominator D, as ints.
+
+    Returns the two grids and D; a kernel returns its scalars through
+    :func:`from_int_scalars`, given the same D.  Raises
+    ``PreconditionError``, naming ``what``, if an entry is -inf.
+    """
+    int_grid(a, what)
+    int_grid(b, what)
+    return _common(a, b)
+
+
 def from_int_grid(a: ExtMatrix, grid) -> Matrix:
     """The finite matrix whose integer grid, on the scale of ``a``, is ``grid``."""
     return Matrix._from_ints(grid, a._int_view()[1])
@@ -531,7 +544,10 @@ def from_int_vector(ints: Sequence[int], den: int) -> Vector:
 
 
 def from_int_scalars(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
-    """The rationals whose ints over the D of :func:`int_vectors` are ``values``."""
+    """The rationals whose ints over the D of :func:`int_vectors` are ``values``.
+
+    The D of :func:`int_grids` serves as well.
+    """
     return tuple([Fraction(v, den) for v in values])
 
 
@@ -541,6 +557,8 @@ def mat_mul(a: ExtMatrix, b: ExtMatrix) -> ExtMatrix:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     an, bn, den = _common(a, b)
     cols = list(zip(*bn))
+    if isinstance(a, Matrix) and isinstance(b, Matrix):  # finite: no -inf test per term
+        return Matrix._from_ints([[max(map(add, row, col)) for col in cols] for row in an], den)
     grid = [
         [
             max((x + y for x, y in zip(row, col) if x is not None and y is not None), default=None)

@@ -17,6 +17,7 @@ from maxplus import (
     commutes_with,
     from_matrix,
     hclass_contains,
+    hclass_decompose,
     hclass_element,
     is_unit,
     isometry_group,
@@ -24,7 +25,7 @@ from maxplus import (
     to_matrix,
     unit_decompose,
 )
-from maxplus.groups import _require_group
+from maxplus.groups import _require_group, _span_contains
 
 from helpers import (
     CLAW,
@@ -309,3 +310,125 @@ def test_hclass_elements_are_members_and_injective():
             assert hclass_contains(d, elem)
             assert elem not in seen
             seen.add(elem)
+
+
+def test_hclass_decompose_examples():
+    assert hclass_decompose(HEX_SYM, HEX_SYM) == (Permutation.identity(3), 0)
+    element = hclass_element(HEX_SYM, SWAP23, Fraction(-7, 2))
+    assert hclass_decompose(HEX_SYM, element) == (SWAP23, Fraction(-7, 2))
+    # the rows of HEX_SYM swapped by a permutation that is not an isometry
+    assert hclass_decompose(HEX_SYM, Matrix([HEX_SYM.entries[i] for i in (1, 0, 2)])) is None
+    assert hclass_decompose(HEX_SYM, HEX_ASYM) is None
+
+
+def test_hclass_decompose_errors():
+    with pytest.raises(PreconditionError, match="hclass_decompose requires a metric matrix"):
+        hclass_decompose(HEX_ASYM, HEX_ASYM)
+    with pytest.raises(ShapeError):
+        hclass_decompose(HEX_SYM, Matrix([[0, -1], [-1, 0]]))
+
+
+@pytest.mark.parametrize("call", [hclass_contains, hclass_decompose], ids=lambda f: f.__name__)
+def test_hclass_refuses_ext_matrices_in_either_position(call):
+    # hclass_contains used to leak AttributeError (no column_vectors on an ExtMatrix)
+    name = call.__name__
+    finite = ExtMatrix(HEX_SYM.entries)
+    with_inf = ExtMatrix([[0, NEG_INF, -1], [-1, 0, -1], [-1, -1, 0]])
+    for e, x in ((HEX_SYM, finite), (finite, HEX_SYM)):
+        with pytest.raises(PreconditionError, match=f"^{name} requires a Matrix, not an ExtMatrix"):
+            call(e, x)
+    for e, x in ((HEX_SYM, with_inf), (with_inf, HEX_SYM)):
+        with pytest.raises(PreconditionError, match=f"^{name} requires finite entries$"):
+            call(e, x)
+    if call is hclass_contains:
+        with pytest.raises(PreconditionError, match="not an ExtMatrix"):
+            hclass_contains(HEX_SYM.scale(1), HEX_SYM, idempotent=finite)
+
+
+def permuted(grid, s, t, lam):
+    """P_s * grid * P_t + lam, as a Matrix: entry (s(i), t(j)) is grid[i][j] + lam."""
+    n = len(grid)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[s[i]][t[j]] = grid[i][j] + lam
+    return Matrix(out)
+
+
+def oracle_metrics(rng):
+    """Metric tables with n <= 6: random ones and some with large isometry groups."""
+    tables = [rand_metric(rng, n) for n in (2, 3, 4, 5, 6, 6)]
+    for grid in (uniform_grid(4), uniform_grid(5), uniform_grid(6), cycle_grid(5), cycle_grid(6)):
+        tables.append(relabelled(rng, grid, Fraction(rng.randint(1, 5), rng.choice((1, 2, 3)))))
+    return tables
+
+
+def test_hclass_contains_metric_route_matches_span_route():
+    """On metric matrices the decomposition agrees with mutual span membership."""
+    rng = random.Random(601)
+    members = others = 0
+    for table in oracle_metrics(rng):
+        e = to_matrix(table)
+        n = table.n
+        grid = [list(row) for row in e.entries]
+        group = list(isometry_group(table))
+        identity = tuple(range(n))
+        candidates = []
+        for _ in range(12):
+            sigma = rng.choice(group)
+            lam = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+            member = hclass_element(e, sigma, lam)
+            candidates.append(member)
+            # a near miss: one entry moved by 1/3
+            near = [list(row) for row in member.entries]
+            near[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1)) * Fraction(1, 3)
+            candidates.append(Matrix(near))
+            s = list(range(n))
+            rng.shuffle(s)
+            t = list(range(n))
+            rng.shuffle(t)
+            candidates.append(permuted(grid, s, identity, lam))  # P_s E, s often no isometry
+            candidates.append(permuted(grid, s, t, lam))  # P_s E P_t
+            candidates.append(permuted(grid, s, s, 0))  # E relabelled by s
+        for x in candidates:
+            expected = _span_contains(e, x, None)
+            assert hclass_contains(e, x) == expected
+            found = hclass_decompose(e, x)
+            assert (found is not None) == expected
+            if found is not None:
+                assert hclass_element(e, *found) == x
+            members += expected
+            others += not expected
+    assert members >= 250 and others >= 350
+
+
+def test_hclass_decompose_inverts_hclass_element():
+    rng = random.Random(602)
+    for table in oracle_metrics(rng):
+        e = to_matrix(table)
+        for sigma in isometry_group(table):
+            lam = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 7)))
+            assert hclass_decompose(e, hclass_element(e, sigma, lam)) == (sigma, lam)
+
+
+def test_hclass_decompose_is_a_homomorphism():
+    """The decomposition of a * b is (sigma_a sigma_b, lam_a + lam_b)."""
+    rng = random.Random(603)
+    for table in oracle_metrics(rng):
+        e = to_matrix(table)
+        group = list(isometry_group(table))
+        for _ in range(10):
+            pairs = [
+                (rng.choice(group), Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))))
+                for _ in range(2)
+            ]
+            (sa, la), (sb, lb) = pairs
+            a, b = (hclass_element(e, s, lam) for s, lam in pairs)
+            assert hclass_decompose(e, mat_mul(a, b)) == (sa * sb, la + lb)
+
+
+def test_hclass_contains_checks_a_supplied_witness_on_a_metric():
+    # a supplied witness takes the span route, which checks its column space
+    with pytest.raises(PreconditionError, match="different column space"):
+        hclass_contains(HEX_SYM, HEX_SYM, idempotent=HEX_ASYM)
+    assert hclass_contains(HEX_SYM, hclass_element(HEX_SYM, SWAP23, 1), idempotent=HEX_SYM)

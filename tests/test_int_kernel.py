@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxplus.groups as groups_module
 import maxplus.polytope as polytope_module
 import maxplus.rank as rank_module
 import maxplus.semiring as semiring_module
@@ -34,6 +35,7 @@ from maxplus import (
     extremal_indices,
     from_matrix,
     hclass_contains,
+    hclass_decompose,
     hclass_element,
     idempotent_family,
     idempotent_rank,
@@ -44,6 +46,7 @@ from maxplus import (
     mat_mul,
     mat_vec,
     membership,
+    negation_closed,
     permanent,
     residuation,
     scale,
@@ -51,8 +54,11 @@ from maxplus import (
     validate,
     zero_diag_regularity,
 )
+from maxplus.groups import _span_contains
+from maxplus.svg import render_matrix
 
 from helpers import (
+    GOLDEN_IDEMPOTENTS,
     brute_cycle_mean,
     brute_idempotent_family,
     brute_isometries,
@@ -83,13 +89,20 @@ def prime_matrix(rng, n):
 
 
 def test_mat_mul_matches_naive_product():
+    """Matrix x Matrix (the finite path), mixed and ExtMatrix x ExtMatrix operands."""
     rng = random.Random(201)
-    for _ in range(80):
+    seen = Counter()
+    for _ in range(160):
         n, k, m = (rng.randint(1, 6) for _ in range(3))
-        density = rng.choice((0.0, 0.0, 0.3, 0.7))
-        cls = Matrix if density == 0.0 else ExtMatrix
-        a = cls(prime_grid(rng, n, k, density))
-        b = cls(prime_grid(rng, k, m, density))
+        operands = []
+        for rows, cols in ((n, k), (k, m)):
+            if rng.random() < 0.5:
+                operands.append(Matrix(prime_grid(rng, rows, cols)))
+            else:  # finite or not, an ExtMatrix takes the -inf path
+                density = rng.choice((0.0, 0.3, 0.7))
+                operands.append(ExtMatrix(prime_grid(rng, rows, cols, density)))
+        a, b = operands
+        seen[type(a), type(b)] += 1
         prod = mat_mul(a, b)
         expected = brute_mat_mul(a, b)
         assert [list(row) for row in prod.entries] == expected
@@ -97,6 +110,7 @@ def test_mat_mul_matches_naive_product():
         assert hash(prod) == hash(ExtMatrix(expected))
         finite = all(e is not NEG_INF for row in expected for e in row)
         assert isinstance(prod, Matrix) == finite
+    assert len(seen) == 4 and min(seen.values()) >= 30
 
 
 def test_eigenvalue_matches_cycle_enumeration():
@@ -446,13 +460,15 @@ def test_pairwise_rules_match_span_membership():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of products, assignments, ``membership`` calls and span projections."""
+    """Counts of products, assignments, ``membership`` calls, span projections
+    and the span tests ``groups`` makes."""
     counts = Counter()
     for module, name in (
         (semiring_module, "mat_mul"),
         (rank_module, "_max_assignment"),
         (polytope_module, "membership"),
         (polytope_module, "_project"),
+        (groups_module, "in_span"),
     ):
         def counted(*args, _orig=getattr(module, name), _name=name):
             counts[_name] += 1
@@ -474,6 +490,34 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     assert calls["membership"] == calls["_project"] == 0
     calls.clear()
     assert hclass_contains(m, m)
-    # n each for n's columns in m's span, m's columns in n's, the negated rows,
-    # the negated extremals and extremal_indices; none compares m with itself
+    assert not calls  # the metric route reads (sigma, lam) from the ints
+    # the span route: n each for n's columns in m's span, m's columns in n's, the
+    # negated rows, the negated extremals and extremal_indices; none compares m with itself
+    assert _span_contains(m, m, None)
     assert calls["_project"] == 5 * n
+
+
+def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
+    n = 16
+    rng = random.Random(216)
+    m = to_matrix(rand_metric(rng, n))
+    member = hclass_element(m, Permutation.identity(n), Fraction(5, 3))
+    outside = [list(row) for row in m.entries]
+    outside[0][0] += 1
+    calls.clear()
+    assert hclass_contains(m, member)
+    assert not hclass_contains(m, Matrix(outside))
+    assert hclass_decompose(m, member) == (Permutation.identity(n), Fraction(5, 3))
+    assert not calls  # no in_span, product, assignment, membership or projection
+
+
+def test_render_and_negation_closed_check_once(calls):
+    # one product (is_idempotent) and one assignment (is_strongly_regular) each
+    for e in GOLDEN_IDEMPOTENTS:
+        calls.clear()
+        render_matrix(e)
+        assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+        calls.clear()
+        negation_closed(e)
+        assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+
