@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import ConsistencyError, ShapeError
+from .errors import ConsistencyError, PreconditionError, ShapeError
 from .semiring import Matrix, from_int, from_int_grid, int_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
@@ -28,6 +28,20 @@ class StarResult:
 def _require_square(a: Matrix):
     if not a.is_square:
         raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
+
+
+def _matrix_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
+    """``int_grid`` of a ``Matrix``; an ``ExtMatrix`` is refused even when finite."""
+    grid = int_grid(a, what)
+    if not isinstance(a, Matrix):
+        raise PreconditionError(f"{what} requires a Matrix, not an ExtMatrix")
+    return grid
+
+
+def _square_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
+    """:func:`_matrix_grid` of a square matrix."""
+    _require_square(a)
+    return _matrix_grid(a, what)
 
 
 def eigenvalue(a: Matrix) -> Fraction:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .closure import _require_square, is_idempotent, kleene_star
+from .closure import _require_square, _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .metric import DistanceClass, DistanceTable, _square_grid, from_matrix, validate
+from .metric import DistanceClass, DistanceTable, from_matrix, validate
 from .permutation import Permutation
 from .polytope import extremal_indices, in_span
 from .rank import is_strongly_regular

@@ -14,9 +14,10 @@ serialized matrix reproduces it byte for byte.
 
 Parsing cost is bounded: a file may have at most ``MAX_DIM`` rows and
 columns, and each entry's numerator and denominator at most
-``MAX_ENTRY_BITS`` bits.  Kernels work over the common denominator of all
-entries, so coprime large denominators would multiply; the caps keep a
-hostile file from making that, or the parse itself, unbounded.  The same
+``MAX_ENTRY_BITS`` bits.  The caps bound each entry, not the common
+denominator D that the kernels work over: coprime denominators multiply,
+so D can reach about n^2 * 128 bits, and every kernel step costs time in
+the bits of D.  A cap on D is an open item (ROADMAP item 1(b)).  The same
 caps hold for the scalars and points given on the command line
 (:func:`parse_scalar`, :func:`parse_point`).
 """

@@ -15,7 +15,7 @@ from enum import IntEnum
 from fractions import Fraction
 from operator import add
 
-from .closure import _require_square, is_idempotent, kleene_star
+from .closure import _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .polytope import interior_test
 from .rank import is_strongly_regular
@@ -140,15 +140,6 @@ def validate(table: DistanceTable) -> ValidationResult:
 def to_matrix(table: DistanceTable) -> Matrix:
     """The matrix of the distance function: entrywise negation."""
     return -table.values
-
-
-def _square_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
-    """``int_grid`` of a square ``Matrix``; an ``ExtMatrix`` is refused even when finite."""
-    _require_square(a)
-    grid = int_grid(a, what)
-    if not isinstance(a, Matrix):
-        raise PreconditionError(f"{what} requires a Matrix, not an ExtMatrix")
-    return grid
 
 
 def from_matrix(d: Matrix) -> DistanceTable:
@@ -285,6 +276,7 @@ def residuation_bound_check(e: Matrix) -> bool:
     zero-diagonal idempotents.  These always hold, so a violation is a
     fatal consistency error.
     """
+    _square_grid(e, "residuation_bound_check")
     if not is_idempotent(e):
         raise PreconditionError("residuation_bound_check requires an idempotent matrix")
     n = e.rows

@@ -12,7 +12,7 @@ from functools import cmp_to_key
 from operator import sub
 from typing import Sequence
 
-from .closure import is_idempotent
+from .closure import _matrix_grid, _square_grid, is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .rank import column_classes, is_strongly_regular, zero_diag_classes
 from .semiring import (
@@ -23,7 +23,6 @@ from .semiring import (
     int_grid,
     int_vectors,
     mat_vec,
-    scaling_class,
 )
 
 __all__ = [
@@ -104,6 +103,7 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     with a unique expression over the columns: every column must attain
     some coordinate of ``x`` alone.
     """
+    _square_grid(e, "interior_point")
     _require_strongly_regular_idempotent(e, "interior_point")
     interior = interior_test(e, x)
     if interior is None:
@@ -139,8 +139,9 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
     if not vecs:
         raise PreconditionError("extremal_indices requires at least one vector")
     reps: dict[tuple, int] = {}
-    for idx, v in enumerate(vecs):
-        reps.setdefault(scaling_class(v), idx)
+    # over one D, a scaling class is keyed by the differences to the last entry
+    for idx, ints in enumerate(int_vectors(vecs)[0]):
+        reps.setdefault(tuple([e - ints[-1] for e in ints]), idx)
     rep_idx = sorted(reps.values())
     if len(rep_idx) == 1:
         return rep_idx
@@ -171,6 +172,7 @@ def known_extremals(e: Matrix, what: str) -> list[int]:
 
 def duality_map(a: Matrix, x: Vector) -> Vector:
     """Send a row-space point to the column space: x -> a * (-x)."""
+    _matrix_grid(a, "duality_map")
     if not in_span(a.row_vectors(), x):
         raise PreconditionError("point is not in the row space")
     return mat_vec(a, -x)
@@ -182,6 +184,7 @@ def negation_closed(e: Matrix) -> bool:
     Decided two independent ways that must agree: symmetry of ``e``, and
     membership of every negated extremal column.
     """
+    _square_grid(e, "negation_closed")
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()

@@ -11,17 +11,21 @@ between threads.
 Integer view.  Max-plus operations commute with positive scaling, so the
 kernels run on plain ints.  Every matrix and every vector has an integer
 view: its entries times one positive common denominator D, with
-``NEG_INF`` stored as ``None``.  D is canonical, the least common
-denominator of the entries, so equal values have equal views, and
-equality and hashing compare views.  A kernel result is reduced to its
-canonical D as it is built: with D' = D / gcd(D, every numerator), each
-entry is divided by D / D'.  A matrix or vector keeps whichever of its two
-forms it was built from and computes the other once, on first use, into a
-slot; two threads racing on that computation store equal values.  The rows
-and columns of a matrix are vectors built from its view, and ``scale``,
-``residuation``, ``mat_vec`` and the vector order and lattice operations
-run on views; ``tadd`` and ``tmul`` are scalar conveniences that no kernel
-uses.
+``NEG_INF`` stored as ``None``.  A value built from ``Fraction``s gets the
+least such D.  A kernel result keeps the D it was computed over, which
+divides the lcm of the denominators of its inputs but need not be least:
+reducing it would take a gcd over every entry, which dominated the cost
+when many large denominators are coprime.  So equal values may have views
+over different Ds.  Equality compares views directly when the two Ds are
+equal, which covers ``a @ a == a``, a star against its input and a
+transpose, and otherwise by cross-multiplication, x * D_b == y * D_a.
+Hashing goes through ``entries``, whose ``Fraction``s are in lowest
+terms.  A matrix or vector keeps whichever of its two forms it was built
+from and computes the other once, on first use, into a slot; two threads
+racing on that computation store equal values.  The rows and columns of a
+matrix are vectors built from its view, and ``scale``, ``residuation``,
+``mat_vec`` and the vector order and lattice operations run on views;
+``tadd`` and ``tmul`` are scalar conveniences that no kernel uses.
 
 Only this module knows the format.  The closure and rank kernels run on
 :func:`int_grid`, a finite matrix times its D, and hand their results
@@ -44,7 +48,7 @@ collections are rare, and those free lists held about a megabyte.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -187,7 +191,7 @@ class Vector:
         """Wrap a non-empty sequence of ints over ``den`` > 0."""
         self = object.__new__(cls)
         self._entries = None
-        self._ints = _reduced(ints, den)
+        self._ints = tuple(ints), den
         return self
 
     def _int_view(self):
@@ -222,10 +226,11 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self._int_view() == other._int_view()
+        (a, da), (b, db) = self._int_view(), other._int_view()
+        return a == b if da == db else _same_entries(a, da, b, db)
 
     def __hash__(self):
-        return hash(self._int_view())
+        return hash(self.entries)
 
     def __repr__(self):
         return "Vector([%s])" % ", ".join(str(e) for e in self.entries)
@@ -253,12 +258,14 @@ class Vector:
         return Vector._from_ints(list(map(min, a, b)), den)
 
 
-def _reduced(ints, den):
-    """Finite ints over ``den``, reduced to their least common denominator."""
-    g = gcd(den, *ints)
-    if g == 1:
-        return tuple(ints), den
-    return tuple([e // g for e in ints]), den // g
+def _same_entries(a, da, b, db) -> bool:
+    """Whether ints ``a`` over ``da`` and ``b`` over ``db`` are equal values.
+
+    Compared by cross-multiplication; ``None`` (for -inf) equals only ``None``.
+    """
+    return len(a) == len(b) and all(
+        y is None if x is None else y is not None and x * db == y * da for x, y in zip(a, b)
+    )
 
 
 def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
@@ -301,17 +308,6 @@ def residuation(x: Vector, y: Vector) -> Fraction:
     return Fraction(min(map(sub, b, a)), den)
 
 
-def scaling_class(x: Vector) -> tuple[tuple[int, ...], int]:
-    """Package-internal: a key shared by ``x`` and its tropical scalings.
-
-    The integer view of ``x`` minus its last entry, over its least common
-    denominator; every length, 1 included, is accepted.
-    """
-    ints, den = x._int_view()
-    last = ints[-1]
-    return _reduced([e - last for e in ints], den)
-
-
 def projectivize(x: Vector) -> tuple[Fraction, ...]:
     """Coordinates of ``x`` in projective tropical space.
 
@@ -320,8 +316,9 @@ def projectivize(x: Vector) -> tuple[Fraction, ...]:
     """
     if len(x) < 2:
         raise PreconditionError("projectivization needs at least two coordinates")
-    ints, den = scaling_class(x)
-    return tuple([Fraction(e, den) for e in ints[:-1]])
+    ints, den = x._int_view()
+    last = ints[-1]
+    return tuple([Fraction(e - last, den) for e in ints[:-1]])
 
 
 def _build_grid(rows, coerce):
@@ -332,14 +329,6 @@ def _build_grid(rows, coerce):
     if any(len(row) != width for row in grid):
         raise ShapeError("matrix rows must all have the same length")
     return grid
-
-
-def _canonical(num, den):
-    """Reduce an integer grid over ``den`` to the least common denominator."""
-    g = gcd(den, *[e for row in num for e in row if e is not None])
-    if g == 1:
-        return tuple([tuple(row) for row in num]), den
-    return tuple([tuple([None if e is None else e // g for e in row]) for row in num]), den // g
 
 
 class ExtMatrix:
@@ -358,7 +347,7 @@ class ExtMatrix:
         """Wrap a rectangular grid of ints and None over ``den`` > 0."""
         self = object.__new__(cls)
         self._grid = None
-        self._ints = _canonical(num, den)
+        self._ints = tuple([tuple(row) for row in num]), den
         return self
 
     def _int_view(self):
@@ -413,10 +402,13 @@ class ExtMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExtMatrix):
             return NotImplemented
-        return self._int_view() == other._int_view()
+        (a, da), (b, db) = self._int_view(), other._int_view()
+        if da == db:
+            return a == b
+        return len(a) == len(b) and all(_same_entries(r, da, s, db) for r, s in zip(a, b))
 
     def __hash__(self):
-        return hash(self._int_view())
+        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)

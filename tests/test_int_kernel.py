@@ -5,7 +5,11 @@ The matrix kernels (product, Karp, star, assignment) and the vector layer
 isometry search over distance tables) are checked.  Denominators are drawn
 from the primes up to 47, so the common denominator of a matrix or of a
 set of vectors grows large; every answer is compared with a brute-force
-Fraction oracle from ``helpers`` or a naive loop written here.  The
+Fraction oracle from ``helpers`` or a naive loop written here.  Kernel
+results keep an unreduced D: equality and hashing are checked across Ds,
+D is checked to stay within the lcm of the inputs' denominators along
+chains of operations, and the audit entry points are checked at a
+hostile D (a distinct 120-bit denominator per entry).  The
 pairwise rules that read the structure of an idempotent are checked
 against span membership, and counter gates pin how many products,
 assignments and span projections the audit entry points run.
@@ -14,6 +18,7 @@ assignments and span projections the audit entry points run.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -31,6 +36,7 @@ from maxplus import (
     Vector,
     classify,
     eigenvalue,
+    embed,
     extremal_columns,
     extremal_indices,
     from_matrix,
@@ -151,6 +157,18 @@ def test_permanent_matches_brute_force():
         assert sum(a[i, res.witness(i)] for i in range(n)) == value
 
 
+# 53 is the least prime above the denominators drawn here: scaling by 1/53
+# and back leaves the same value over a D that is not the least one
+OFF = Fraction(1, 53)
+
+
+def near_miss(grid, i, j, den):
+    """A copy of ``grid`` with entry (i, j) moved by 1/``den``, or set to 0 if it is -inf."""
+    out = [list(row) for row in grid]
+    out[i][j] = 0 if out[i][j] is NEG_INF else out[i][j] + Fraction(1, den)
+    return out
+
+
 def test_value_equal_matrices_are_equal_and_hash_equal():
     half = Matrix([["1/2"]])
     one = Matrix([[1]])
@@ -161,22 +179,31 @@ def test_value_equal_matrices_are_equal_and_hash_equal():
     rng = random.Random(205)
     for _ in range(30):
         n = rng.randint(1, 6)
-        a = prime_matrix(rng, n)
-        lam = prime_scalar(rng)
-        routes = [
-            a,
-            Matrix(a.entries),
-            a.scale(lam).scale(-lam),
-            -(-a),
-            a.transpose().transpose(),
-            mat_mul(ExtMatrix.identity(n), a),
-            mat_mul(a, ExtMatrix.identity(n)),
-            a.oplus(a.scale(-abs(lam) - 1)),
-        ]
-        assert all(r == a for r in routes)
-        assert len({hash(r) for r in routes}) == 1
-        assert len(set(routes)) == 1
-        assert all(r.entries == a.entries for r in routes)
+        for a in (prime_matrix(rng, n), ExtMatrix(prime_grid(rng, n, n, 0.3))):
+            lam = prime_scalar(rng)
+            routes = [
+                a,
+                type(a)(a.entries),
+                a.scale(lam).scale(-lam),
+                a.scale(OFF).scale(-OFF),
+                a.transpose().transpose(),
+                mat_mul(ExtMatrix.identity(n), a),
+                mat_mul(a, ExtMatrix.identity(n)),
+                a.oplus(a.scale(-abs(lam) - 1)),
+            ]
+            if isinstance(a, Matrix):
+                routes.append(-(-a))
+            # some pairs differ in D, so equality takes the cross-multiplication branch
+            assert len({r._int_view()[1] for r in routes}) >= 2
+            assert all(r == a for r in routes)
+            assert len({hash(r) for r in routes}) == 1
+            assert len(set(routes)) == 1
+            assert all(r.entries == a.entries for r in routes)
+            den = a._int_view()[1]
+            for i, j in ((rng.randrange(n), rng.randrange(n)), (n - 1, 0)):
+                near = ExtMatrix(near_miss(a.entries, i, j, rng.choice((den, -den))))
+                for miss in (near, near.scale(OFF).scale(-OFF)):
+                    assert all(r != miss and miss != r for r in routes)
 
 
 def prime_vector(rng, n):
@@ -356,11 +383,17 @@ def test_value_equal_vectors_are_equal_and_hash_equal():
             v.meet(scale(abs(lam) + 1, v)),
             -(-v),
             mat_vec(ExtMatrix.identity(n), v),
+            scale(-OFF, scale(OFF, v)),
         ]
+        assert len({r._int_view()[1] for r in routes}) >= 2
         assert all(r == v for r in routes)
         assert len({hash(r) for r in routes}) == 1
         assert all(r.entries == v.entries for r in routes)
         assert all(v <= r and v >= r for r in routes)
+        den = v._int_view()[1]
+        near = Vector(near_miss([v.entries], 0, rng.randrange(n), rng.choice((den, -den)))[0])
+        for miss in (near, scale(-OFF, scale(OFF, near))):
+            assert all(r != miss and miss != r for r in routes)
 
 
 def test_value_equal_tables_are_equal_and_hash_equal():
@@ -374,12 +407,171 @@ def test_value_equal_tables_are_equal_and_hash_equal():
             DistanceTable(table.entries),
             from_matrix(to_matrix(table)),
             from_matrix(-Matrix(grid)),
+            from_matrix(to_matrix(table).scale(OFF).scale(-OFF)),
         ]
+        assert len({r.values._int_view()[1] for r in routes}) >= 2
         assert all(r == table for r in routes)
         assert len({hash(r) for r in routes}) == 1
+        if table.n >= 2:
+            den = table.values._int_view()[1]
+            near = DistanceTable(near_miss(grid, 0, table.n - 1, rng.choice((den, -den))))
+            assert all(r != near and near != r for r in routes)
         assert all(r.entries == table.entries for r in routes)
         assert all(type(r.d(i, j)) is Fraction for r in routes for i in range(r.n) for j in range(r.n))
         assert to_matrix(table) == Matrix([[-e for e in row] for row in grid])
+
+
+def denominators(*values):
+    """The denominators of every entry of the given vectors and finite matrices."""
+    out = []
+    for value in values:
+        rows = [value.entries] if isinstance(value, Vector) else value.entries
+        out += [e.denominator for row in rows for e in row]
+    return out
+
+
+CHAIN_OPS = (
+    "scale", "oplus", "meet", "negation", "transpose", "mat_mul", "mat_vec", "kleene_star",
+    "hclass_element",
+)
+
+
+def test_denominator_stays_bounded_along_chains():
+    """A kernel result keeps an unreduced D; along any chain it must still divide the
+    lcm of the denominators of every input entry and every scalar."""
+    rng = random.Random(217)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m, v = prime_matrix(rng, n), prime_vector(rng, n)
+        bound = lcm(*denominators(m, v))
+        for _ in range(10):
+            op = rng.choice(CHAIN_OPS)
+            seen[op] += 1
+            if op == "scale":
+                lam = prime_scalar(rng)
+                bound = lcm(bound, lam.denominator)
+                m, v = m.scale(lam), scale(lam, v)
+            elif op in ("oplus", "meet", "mat_mul"):
+                b, w = prime_matrix(rng, n), prime_vector(rng, n)
+                bound = lcm(bound, *denominators(b, w))
+                if op == "oplus":
+                    m, v = m.oplus(b), v.oplus(w)
+                elif op == "meet":
+                    v = v.meet(w)
+                else:
+                    m = mat_mul(m, b)
+            elif op == "negation":
+                m, v = -m, -v
+            elif op == "transpose":
+                m = m.transpose()
+            elif op == "mat_vec":
+                v = mat_vec(m, v)
+            elif op == "kleene_star":
+                lam = eigenvalue(m)
+                bound = lcm(bound, lam.denominator)
+                m = kleene_star(m.scale(-lam)).star
+            else:
+                table = DistanceTable(alphabet_table(rng, n, True))
+                sigma = rng.choice(list(isometry_group(table)))
+                lam = prime_scalar(rng)
+                bound = lcm(bound, lam.denominator, *denominators(to_matrix(table)))
+                m = mat_mul(m, hclass_element(to_matrix(table), sigma, lam))
+            assert bound % m._int_view()[1] == 0
+            assert bound % v._int_view()[1] == 0
+    assert set(seen) == set(CHAIN_OPS) and min(seen.values()) >= 30
+
+
+def hostile_grid(rng, n, kind):
+    """Zero diagonal and a distinct 120-bit denominator in every other entry.
+
+    ``semimetric``: entries in [-12, -6], so their negations keep the
+    triangle inequality; ``metric``: the same, symmetric, one denominator
+    per pair; ``other``: entries in [-30, -1], which usually break it.
+    """
+    lo, hi = (-30, -1) if kind == "other" else (-12, -6)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    used = set()
+    for i in range(n):
+        for j in range(n):
+            if i == j or (kind == "metric" and j < i):
+                continue
+            q = p = 0
+            while q in used or gcd(p, q) != 1:
+                q = rng.getrandbits(120) | 1 << 119
+                p = rng.randint(lo * q, hi * q)
+            used.add(q)
+            grid[i][j] = Fraction(p, q)
+            if kind == "metric":
+                grid[j][i] = grid[i][j]
+    return grid
+
+
+def brute_in_hclass(m, n):
+    """``hclass_contains(m, n)`` for an ``m`` whose columns are all extremal.
+
+    Mutual span membership of the columns, the negated rows of ``n`` in the
+    column space of ``m`` and the negated columns of ``m`` in the row space
+    of ``n``, all by :func:`brute_membership` on Fraction entries.
+    """
+    cols_m = [Vector(c) for c in zip(*m.entries)]
+    cols_n = [Vector(c) for c in zip(*n.entries)]
+    rows_n = [Vector(r) for r in n.entries]
+
+    def inside(gens, points, sign=1):
+        return all(brute_membership(gens, Vector([sign * e for e in x.entries]))[0] for x in points)
+
+    return (
+        inside(cols_m, cols_n) and inside(cols_n, cols_m)
+        and inside(cols_m, rows_n, -1) and inside(rows_n, cols_m, -1)
+    )
+
+
+def test_kernels_match_fraction_oracles_at_hostile_denominators():
+    """n = 10-12 with a distinct 120-bit denominator per entry, so D has
+    thousands of bits and kernel results keep Ds that are not least."""
+    rng = random.Random(218)
+    levels, members = Counter(), Counter()
+    for kind in ("semimetric", "metric", "other") * 2:
+        n = rng.randint(10, 12)
+        a = Matrix(hostile_grid(rng, n, kind))
+        grid = [list(row) for row in a.entries]
+        idem = brute_mat_mul(a, a) == grid
+        assert is_idempotent(a) == idem
+        star = kleene_star(a)  # every entry <= 0 and a zero diagonal: eigenvalue 0
+        expected_star = series_star(a)
+        assert star.converges and star.star == expected_star
+        assert star.star.entries == expected_star.entries
+        table = DistanceTable([[-e for e in row] for row in grid])
+        level, _ = brute_validate(table)
+        levels[level] += 1
+        report = classify(a)
+        assert report.idempotent == idem
+        assert report.kleene_fixed == ([list(row) for row in expected_star.entries] == grid)
+        assert report.is_semimetric_matrix == (level >= 2)
+        assert report.is_metric_matrix == (level == 3)
+        if level < 2:
+            with pytest.raises(PreconditionError):
+                embed(table)
+            continue
+        points = embed(table)
+        for i in range(n):
+            for j in range(n):
+                dist = max(x - y for x, y in zip(points[i].entries, points[j].entries))
+                assert dist == table.d(i, j)
+        cols = [Vector(c) for c in zip(*grid)]
+        expected = [j for j in range(n) if not brute_membership(cols[:j] + cols[j + 1:], cols[j])[0]]
+        assert extremal_columns(a) == expected == list(range(n))
+        q = rng.getrandbits(120) | 1 << 119
+        moved = [list(row) for row in grid]
+        moved[0][n - 1] += Fraction(1, q)
+        candidates = [a.scale(Fraction(rng.randint(-q, q), q)), Matrix(moved), a.transpose()]
+        for c in candidates:
+            member = brute_in_hclass(a, c)
+            assert hclass_contains(a, c) == member
+            members[member] += 1
+    assert levels[0] == 2 and levels[2] == 2 and levels[3] == 2
+    assert members[True] >= 4 and members[False] >= 4
 
 
 def spectral_projector(a):
