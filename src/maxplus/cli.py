@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .closure import eigenvalue, kleene_star
 from .errors import (
@@ -28,26 +29,14 @@ from .matio import (
     parse_scalar,
     serialize_matrix,
 )
-from .metric import DistanceTable, classify, embed
+from .metric import ClassificationReport, DistanceTable, classify, embed
 from .polytope import extremal_columns, in_span, interior_point
 from .semiring import Matrix
 from .svg import render_matrix
 
 __all__ = ["main", "REPORT_SCHEMA"]
 
-_REPORT_FIELDS = [
-    "idempotent",
-    "zero_diagonal",
-    "kleene_fixed",
-    "strongly_regular",
-    "off_diagonal_negative",
-    "symmetric",
-    "origin_in_interior",
-    "columns_sum_to_zero",
-    "rows_sum_to_zero",
-    "is_semimetric_matrix",
-    "is_metric_matrix",
-]
+_REPORT_FIELDS = [f.name for f in fields(ClassificationReport)]
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",

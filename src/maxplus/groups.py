@@ -8,7 +8,7 @@ from operator import sub
 
 from .closure import _require_square, _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .metric import DistanceClass, DistanceTable, from_matrix, validate
+from .metric import DistanceClass, DistanceTable, _table_level, validate
 from .permutation import Permutation
 from .polytope import extremal_indices, in_span
 from .rank import is_strongly_regular
@@ -64,33 +64,32 @@ class UnitDecomposition:
     perm: Permutation
 
 
-def _finite_positions(g: ExtMatrix):
-    rows = []
-    for i in range(g.rows):
-        rows.append([j for j in range(g.cols) if g[i, j] is not NEG_INF])
-    return rows
+def _unit_columns(g: ExtMatrix) -> list[int] | None:
+    """Each row's one finite column, or ``None`` when ``g`` is not a unit."""
+    _require_square(g)
+    cols = []
+    for row in g.entries:
+        finite = [j for j, x in enumerate(row) if x is not NEG_INF]
+        if len(finite) != 1:
+            return None
+        cols.append(finite[0])
+    return cols if sorted(cols) == list(range(g.rows)) else None
 
 
 def is_unit(g: ExtMatrix) -> bool:
     """Exactly one finite entry in every row and every column."""
-    _require_square(g)
-    per_row = _finite_positions(g)
-    if any(len(r) != 1 for r in per_row):
-        return False
-    cols = [r[0] for r in per_row]
-    return sorted(cols) == list(range(g.rows))
+    return _unit_columns(g) is not None
 
 
 def unit_decompose(g: ExtMatrix) -> UnitDecomposition:
     """Write a unit as S * P with S the diagonal of its rows' finite entries."""
-    if not is_unit(g):
+    cols = _unit_columns(g)
+    if cols is None:
         raise PreconditionError("unit_decompose requires a unit matrix")
-    n = g.rows
-    per_row = _finite_positions(g)
-    diagonal = tuple(g[i, per_row[i][0]] for i in range(n))
-    images = [0] * n
-    for i in range(n):
-        images[per_row[i][0]] = i  # column j's finite entry sits in row sigma(j)
+    diagonal = tuple(g[i, j] for i, j in enumerate(cols))
+    images = [0] * g.rows
+    for i, j in enumerate(cols):
+        images[j] = i  # column j's finite entry sits in row sigma(j)
     return UnitDecomposition(diagonal, Permutation(images))
 
 
@@ -205,17 +204,6 @@ def commutes_with(g: ExtMatrix, d: ExtMatrix) -> bool:
     return (g @ d) == (d @ g)
 
 
-def _is_metric(d: Matrix, grid) -> bool:
-    """Whether a square ``Matrix`` with int grid ``grid`` is a metric matrix.
-
-    Classify's definition: zero diagonal and ``validate`` level ``METRIC``.
-    """
-    return (
-        all(row[i] == 0 for i, row in enumerate(grid))
-        and validate(from_matrix(d)).level == DistanceClass.METRIC
-    )
-
-
 def _is_isometry(grid, images) -> bool:
     return all(
         grid[images[i]][images[j]] == e for i, row in enumerate(grid) for j, e in enumerate(row)
@@ -230,8 +218,8 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``; :func:`hclass_decompose` is its inverse.
     """
     lam = scalar(lam)
-    grid = _square_grid(d, "classify")  # classify's test for a metric matrix, with its messages
-    if not _is_metric(d, grid):
+    grid = _square_grid(d, "hclass_element")
+    if _table_level(d, grid) != DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
@@ -275,7 +263,7 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
         raise ShapeError("hclass_decompose requires square matrices of equal size")
     grid = _square_grid(e, "hclass_decompose")
     _square_grid(n, "hclass_decompose")
-    if not _is_metric(e, grid):
+    if _table_level(e, grid) != DistanceClass.METRIC:
         raise PreconditionError("hclass_decompose requires a metric matrix")
     return _decompose(e, n)
 
@@ -341,6 +329,6 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
         raise ShapeError("hclass_contains requires square matrices of equal size")
     grid = _square_grid(m, "hclass_contains")
     _square_grid(n, "hclass_contains")
-    if idempotent is None and _is_metric(m, grid):
+    if idempotent is None and _table_level(m, grid) == DistanceClass.METRIC:
         return _decompose(m, n) is not None
     return _span_contains(m, n, idempotent)

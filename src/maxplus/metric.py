@@ -137,6 +137,17 @@ def validate(table: DistanceTable) -> ValidationResult:
     return ValidationResult(DistanceClass.METRIC, None)
 
 
+def _table_level(a: Matrix, grid) -> DistanceClass | None:
+    """Package-internal: the ``validate`` level of the table -a.
+
+    ``a`` is a square ``Matrix`` with int grid ``grid``; the answer is
+    ``None`` when its diagonal is nonzero, so that -a is no table.
+    """
+    if any(row[i] != 0 for i, row in enumerate(grid)):
+        return None
+    return validate(DistanceTable._wrap(-a)).level
+
+
 def to_matrix(table: DistanceTable) -> Matrix:
     """The matrix of the distance function: entrywise negation."""
     return -table.values
@@ -194,7 +205,8 @@ def classify(a: Matrix) -> ClassificationReport:
     origin_col = _origin_interior(a, sr, idem)
     origin_row = _origin_interior(a.transpose(), sr, idem)
 
-    semi = zero_diag and validate(from_matrix(a)).level >= DistanceClass.SEMIMETRIC
+    level = _table_level(a, grid)
+    semi = level is not None and level >= DistanceClass.SEMIMETRIC
 
     equivalents = {
         "regular idempotent with negative off-diagonal": sr and off_neg and idem,

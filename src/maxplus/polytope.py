@@ -8,19 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from operator import sub
 from typing import Sequence
 
 from .closure import _matrix_grid, _square_grid, is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .rank import column_classes, is_strongly_regular, zero_diag_classes
+from .rank import column_classes, is_strongly_regular
 from .semiring import (
     Matrix,
     Vector,
     from_int_scalars,
     from_int_vector,
-    int_grid,
     int_vectors,
     mat_vec,
 )
@@ -165,11 +163,6 @@ def extremal_columns(e: Matrix) -> list[int]:
     return [cls[0] for cls in column_classes(e, "extremal_columns")[1]]
 
 
-def known_extremals(e: Matrix, what: str) -> list[int]:
-    """Package-internal: :func:`extremal_columns` of a matrix known to be idempotent."""
-    return [cls[0] for cls in zero_diag_classes(int_grid(e, what))]
-
-
 def duality_map(a: Matrix, x: Vector) -> Vector:
     """Send a row-space point to the column space: x -> a * (-x)."""
     _matrix_grid(a, "duality_map")
@@ -182,13 +175,15 @@ def negation_closed(e: Matrix) -> bool:
     """Whether the column space equals its own pointwise negation.
 
     Decided two independent ways that must agree: symmetry of ``e``, and
-    membership of every negated extremal column.
+    membership of every negated extremal column.  A strongly regular
+    idempotent has tropical rank n, so all n of its columns are extremal
+    (Develin, Santos & Sturmfels, "On the rank of a tropical matrix", 2005).
     """
     _square_grid(e, "negation_closed")
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()
-    by_extremals = all(in_span(cols, -cols[j]) for j in known_extremals(e, "negation_closed"))
+    by_extremals = all(in_span(cols, -c) for c in cols)
     if symmetric != by_extremals:
         raise ConsistencyError("negation-closure tests disagree (symmetry vs extremals)")
     return symmetric
@@ -223,40 +218,15 @@ def halfspace_rep(e: Matrix) -> PolytropeHRep:
     return PolytropeHRep(e.rows, e.entries)
 
 
-def _ccw_sorted(points):
-    k = len(points)
-    cx = sum(p[0] for p in points) / k
-    cy = sum(p[1] for p in points) / k
-
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        px, py = p[0] - cx, p[1] - cy
-        qx, qy = q[0] - cx, q[1] - cy
-        cross = px * qy - py * qx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    ordered = sorted(points, key=cmp_to_key(cmp))
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
-
-
 def polytrope_vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
     """Vertices of the projectivized 3x3 polytrope, counterclockwise.
 
-    In coordinates (u, v) = (x1 - x3, x2 - x3) the region is cut out by two
-    vertical, two horizontal and two slope-one boundary lines; pairwise
-    intersections that satisfy all six constraints are the vertices.  The
-    list starts at the lexicographically smallest vertex.
+    In coordinates (u, v) = (x1 - x3, x2 - x3) the region is cut out by
+    six constraints: u between e[0, 2] and -e[2, 0], v between e[1, 2] and
+    -e[2, 1], and u - v between e[0, 1] and -e[1, 0].  Idempotency makes
+    every one of them tight, so the vertices are where constraints adjacent
+    in the counterclockwise order of their outward normals meet.  The list
+    starts at the lexicographically smallest vertex.
     """
     _require_strongly_regular_idempotent(e, "polytrope_vertices_2d")
     if e.rows != 3:
@@ -268,24 +238,21 @@ def vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
     """Package-internal: :func:`polytrope_vertices_2d` without its checks.
 
     ``e`` is a 3x3 matrix already known to be a strongly regular idempotent.
+    The constraints, by outward normal, are left, bottom, u - v <= w_hi,
+    right, top and u - v >= w_lo; the ring of their adjacent meets repeats
+    a vertex wherever an edge has length zero.
     """
     u_lo, u_hi = e[0, 2], -e[2, 0]
     v_lo, v_hi = e[1, 2], -e[2, 1]
     w_lo, w_hi = e[0, 1], -e[1, 0]  # w = u - v
-
-    candidates = set()
-    for u in (u_lo, u_hi):
-        for v in (v_lo, v_hi):
-            candidates.add((u, v))
-        for w in (w_lo, w_hi):
-            candidates.add((u, u - w))
-    for v in (v_lo, v_hi):
-        for w in (w_lo, w_hi):
-            candidates.add((v + w, v))
-
-    feasible = [
-        (u, v)
-        for u, v in candidates
-        if u_lo <= u <= u_hi and v_lo <= v <= v_hi and w_lo <= u - v <= w_hi
+    ring = [
+        (u_lo, v_lo),
+        (v_lo + w_hi, v_lo),
+        (u_hi, u_hi - w_hi),
+        (u_hi, v_hi),
+        (v_hi + w_lo, v_hi),
+        (u_lo, u_lo - w_lo),
     ]
-    return _ccw_sorted(feasible)
+    verts = [p for p, prev in zip(ring, ring[-1:] + ring[:-1]) if p != prev]
+    start = verts.index(min(verts))
+    return verts[start:] + verts[:start]

@@ -153,20 +153,14 @@ def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], l
 
     A class holds the zero-diagonal columns proportional to its first one,
     by the rule E[j, k] + E[k, j] == 0; classes and their members are in
-    index order.  Raises ``PreconditionError``, naming ``what``, unless
-    ``e`` is idempotent.
+    index order.  A strongly regular idempotent has a zero diagonal and n
+    singleton classes, its columns all being extremal (Develin, Santos &
+    Sturmfels, "On the rank of a tropical matrix", 2005).  Raises
+    ``PreconditionError``, naming ``what``, unless ``e`` is idempotent.
     """
     if not is_idempotent(e):
         raise PreconditionError(f"{what} requires an idempotent matrix")
     grid = int_grid(e, what)
-    return grid, zero_diag_classes(grid)
-
-
-def zero_diag_classes(grid) -> list[list[int]]:
-    """Package-internal: the classes of :func:`column_classes`.
-
-    ``grid`` is the int grid of a matrix already known to be idempotent.
-    """
     classes: list[list[int]] = []
     for j, row in enumerate(grid):
         if row[j] != 0:
@@ -178,7 +172,7 @@ def zero_diag_classes(grid) -> list[list[int]]:
                 break
         else:
             classes.append([j])
-    return classes
+    return grid, classes
 
 
 def zero_diag_regularity(e: Matrix) -> bool:

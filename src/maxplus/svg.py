@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .closure import _matrix_grid, _require_square, is_idempotent
 from .errors import PreconditionError
-from .polytope import known_extremals, vertices_2d
+from .polytope import vertices_2d
 from .rank import is_strongly_regular
 from .semiring import Matrix, projectivize
 
@@ -167,10 +167,10 @@ def _render_band(e: Matrix) -> str:
 
 
 def _render_polytrope(e: Matrix) -> str:
-    # render_matrix has checked that e is a strongly regular idempotent
+    # render_matrix has checked that e is a strongly regular idempotent, so
+    # its columns are all extremal (Develin, Santos & Sturmfels 2005)
     verts = vertices_2d(e)
-    cols = e.column_vectors()
-    dots = [projectivize(cols[j]) for j in known_extremals(e, "render")]
+    dots = [projectivize(c) for c in e.column_vectors()]
     origin = (Fraction(0), Fraction(0))
     xs = [p[0] for p in verts] + [origin[0]]
     ys = [p[1] for p in verts] + [origin[1]]

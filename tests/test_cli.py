@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from maxplus import Matrix, Permutation, hclass_element
+from maxplus import Matrix, Permutation, PreconditionError, hclass_element
 from maxplus.cli import REPORT_SCHEMA, main
 from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
 from maxplus.svg import render_matrix
@@ -173,6 +174,14 @@ def test_render_rejects_large_matrices(files, capsys):
     out = files["dir"] / "no.svg"
     assert main(["render", files["claw"], "-o", str(out)]) == 3
     assert "n <= 3" in capsys.readouterr().err
+
+
+def test_render_refuses_large_matrices_before_their_integer_view():
+    # a large hostile file would spend its time building the integer view
+    big = Matrix([[Fraction(-i - j, 7 + i) for j in range(4)] for i in range(4)])
+    with pytest.raises(PreconditionError, match="n <= 3"):
+        render_matrix(big)
+    assert big._ints is None
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

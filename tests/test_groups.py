@@ -261,8 +261,10 @@ def test_hclass_element_errors():
     with pytest.raises(PreconditionError, match="metric"):
         hclass_element(HEX_ASYM, Permutation.identity(3), 0)
     # a finite ExtMatrix used to leak a TypeError from the negation
-    with pytest.raises(PreconditionError, match="ExtMatrix"):
+    with pytest.raises(PreconditionError, match="^hclass_element requires a Matrix, not an ExtMatrix$"):
         hclass_element(ExtMatrix([[0, -1], [-1, 0]]), Permutation.identity(2), 0)
+    with pytest.raises(PreconditionError, match="^hclass_element requires finite entries$"):
+        hclass_element(ExtMatrix([[0, NEG_INF], [-1, 0]]), Permutation.identity(2), 0)
 
 
 def test_hclass_contains_examples():

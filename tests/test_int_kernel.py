@@ -626,7 +626,7 @@ def random_idempotent(rng, n):
 
 def test_pairwise_rules_match_span_membership():
     rng = random.Random(214)
-    negative_diag = deficient = 0
+    negative_diag = deficient = regular = 0
     for _ in range(160):
         n = rng.randint(1, 7)
         e = random_idempotent(rng, n)
@@ -636,6 +636,10 @@ def test_pairwise_rules_match_span_membership():
         by_membership = [zero_diag[k] for k in extremal_indices([cols[j] for j in zero_diag])]
         assert extremal_columns(e) == by_membership
         assert idempotent_rank(e) == len(by_membership)
+        if is_strongly_regular(e):
+            # negation_closed and render take every column as extremal
+            assert len(zero_diag) == n and by_membership == list(range(n))
+            regular += 1
         if len(zero_diag) == n:
             assert zero_diag_regularity(e) == (len(by_membership) == n)
         lam = -prime_scalar(rng, 1, 30)
@@ -647,7 +651,7 @@ def test_pairwise_rules_match_span_membership():
             assert idempotent_family(e, lam) == expected
         negative_diag += len(zero_diag) < n
         deficient += expected is not None
-    assert negative_diag >= 40 and deficient >= 60
+    assert negative_diag >= 40 and deficient >= 60 and regular >= 30
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from maxplus import (
     extremal_indices,
     halfspace_rep,
     interior_point,
+    is_strongly_regular,
+    kleene_star,
     mat_vec,
     membership,
     negation_closed,
@@ -260,14 +263,51 @@ def _shoelace(verts):
     return total
 
 
+def _feasible_meets(e):
+    """Brute force: the meets of the six boundary lines that satisfy every constraint."""
+    u_lo, u_hi = e[0, 2], -e[2, 0]
+    v_lo, v_hi = e[1, 2], -e[2, 1]
+    w_lo, w_hi = e[0, 1], -e[1, 0]
+    meets = [(u, v) for u in (u_lo, u_hi) for v in (v_lo, v_hi)]
+    meets += [(u, u - w) for u in (u_lo, u_hi) for w in (w_lo, w_hi)]
+    meets += [(v + w, v) for v in (v_lo, v_hi) for w in (w_lo, w_hi)]
+    return {
+        (u, v)
+        for u, v in meets
+        if u_lo <= u <= u_hi and v_lo <= v <= v_hi and w_lo <= u - v <= w_hi
+    }
+
+
+def _small_star_idempotents(rng, count):
+    """Strongly regular 3x3 idempotents: a quarter from semimetrics, the rest
+    stars of small-integer matrices, whose polytropes are often degenerate."""
+    cases = []
+    while len(cases) < count:
+        if len(cases) % 4 == 0:
+            cases.append(to_matrix(rand_semimetric(rng, 3)))
+            continue
+        a = Matrix([[0 if i == j else rng.randint(-3, 1) for j in range(3)] for i in range(3)])
+        star = kleene_star(a)
+        if star.converges and is_strongly_regular(star.star):
+            cases.append(star.star)
+    return cases
+
+
 def test_polytrope_vertices_properties():
     rng = random.Random(96)
     cases = list(GOLDEN_IDEMPOTENTS) + [to_matrix(rand_semimetric(rng, 3)) for _ in range(10)]
+    cases += _small_star_idempotents(random.Random(98), 320)
+    sizes = Counter()
     for e in cases:
         verts = polytrope_vertices_2d(e)
         assert 3 <= len(verts) <= 6
         assert len(set(verts)) == len(verts)
+        assert set(verts) == _feasible_meets(e)
+        assert verts[0] == min(verts)
         assert _shoelace(verts) > 0  # counterclockwise
+        for k, (x0, y0) in enumerate(verts):  # every turn strictly left
+            (x1, y1), (x2, y2) = verts[k - 2], verts[k - 1]
+            assert (x2 - x1) * (y0 - y2) - (y2 - y1) * (x0 - x2) > 0
         u_lo, u_hi = e[0, 2], -e[2, 0]
         v_lo, v_hi = e[1, 2], -e[2, 1]
         w_lo, w_hi = e[0, 1], -e[1, 0]
@@ -277,6 +317,8 @@ def test_polytrope_vertices_properties():
             assert tight >= 2
         for j in extremal_columns(e):
             assert projectivize(e.col(j)) in verts
+        sizes[len(verts)] += 1
+    assert all(sizes[k] >= 20 for k in (3, 4, 5, 6)), sizes
 
 
 def test_polytrope_vertices_degenerate_parallelogram():
