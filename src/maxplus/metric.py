@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .closure import _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
@@ -288,20 +288,20 @@ def residuation_bound_check(e: Matrix) -> bool:
     zero-diagonal idempotents.  These always hold, so a violation is a
     fatal consistency error.
     """
-    _square_grid(e, "residuation_bound_check")
+    grid = _square_grid(e, "residuation_bound_check")
     if not is_idempotent(e):
         raise PreconditionError("residuation_bound_check requires an idempotent matrix")
-    n = e.rows
-    rows = e.row_vectors()
-    cols = e.column_vectors()
-    for i in range(n):
-        for j in range(n):
-            row_bracket = residuation(rows[j], rows[i])
-            col_bracket = residuation(cols[i], cols[j])
-            if e[i, j] > row_bracket or e[i, j] > col_bracket:
+    cols = list(zip(*grid))
+    # on ints over one D: the row bracket of (i, j) is min_k(e[i, k] - e[j, k]),
+    # the column bracket min_k(e[k, j] - e[k, i])
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            row_bracket = min(map(sub, row, grid[j]))
+            col_bracket = min(map(sub, cols[j], cols[i]))
+            if x > row_bracket or x > col_bracket:
                 raise ConsistencyError(f"residuation bound violated at ({i}, {j})")
-            if e[j, j] == 0 and e[i, j] != row_bracket:
+            if grid[j][j] == 0 and x != row_bracket:
                 raise ConsistencyError(f"row residuation equality violated at ({i}, {j})")
-            if e[i, i] == 0 and e[i, j] != col_bracket:
+            if grid[i][i] == 0 and x != col_bracket:
                 raise ConsistencyError(f"column residuation equality violated at ({i}, {j})")
     return True

@@ -52,13 +52,13 @@ class SpanMembership:
     projection: Vector
 
 
-def _aligned(generators, x):
-    """The generators and the point as ints over one denominator: (gens, xs, D)."""
+def _aligned(generators, points):
+    """The generators and the points as ints over one denominator: (gens, points, D)."""
     gens = list(generators)
     if not gens:
         raise PreconditionError("membership requires at least one generator")
-    (*gens, xs), den = int_vectors(gens + [x])
-    return gens, xs, den
+    ints, den = int_vectors(gens + list(points))
+    return ints[: len(gens)], ints[len(gens) :], den
 
 
 def _project(gens, xs):
@@ -70,15 +70,20 @@ def _project(gens, xs):
 
 def membership(generators: Sequence[Vector], x: Vector) -> SpanMembership:
     """Decide whether ``x`` lies in the tropical span of ``generators``."""
-    gens, xs, den = _aligned(generators, x)
+    gens, (xs,), den = _aligned(generators, [x])
     lams, proj = _project(gens, xs)
     return SpanMembership(proj == xs, from_int_scalars(lams, den), from_int_vector(proj, den))
 
 
-def in_span(generators: Sequence[Vector], x: Vector) -> bool:
-    """Package-internal: ``membership(generators, x).member``, building no ``Fraction``."""
-    gens, xs, _ = _aligned(generators, x)
-    return _project(gens, xs)[1] == xs
+def in_span(generators: Sequence[Vector], *points: Vector) -> bool:
+    """Package-internal: whether every point is in the span of ``generators``.
+
+    ``membership(generators, x).member`` for each point, building no
+    ``Fraction``: the generators and points are aligned to one denominator
+    once, and projection stops at the first non-member.
+    """
+    gens, xss, _ = _aligned(generators, points)
+    return all(_project(gens, xs)[1] == xs for xs in xss)
 
 
 def _require_strongly_regular_idempotent(e: Matrix, what: str):
@@ -114,7 +119,7 @@ def interior_test(e: Matrix, x: Vector) -> bool | None:
 
     Returns ``None`` when ``x`` is outside the column space.
     """
-    cols, xs, _ = _aligned(e.column_vectors(), x)
+    cols, (xs,), _ = _aligned(e.column_vectors(), [x])
     lams, proj = _project(cols, xs)
     if proj != xs:
         return None
@@ -132,23 +137,24 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
 
     Scaling classes are collapsed to their smallest index; a representative
     is extremal when it is not in the span of the other representatives.
+    The vectors are aligned to one denominator once, and each
+    representative is projected onto the others on those ints.
     """
     vecs = list(vectors)
     if not vecs:
         raise PreconditionError("extremal_indices requires at least one vector")
+    views = int_vectors(vecs)[0]
     reps: dict[tuple, int] = {}
     # over one D, a scaling class is keyed by the differences to the last entry
-    for idx, ints in enumerate(int_vectors(vecs)[0]):
+    for idx, ints in enumerate(views):
         reps.setdefault(tuple([e - ints[-1] for e in ints]), idx)
     rep_idx = sorted(reps.values())
-    if len(rep_idx) == 1:
-        return rep_idx
-    out = []
-    for idx in rep_idx:
-        others = [vecs[k] for k in rep_idx if k != idx]
-        if not in_span(others, vecs[idx]):
-            out.append(idx)
-    return out
+    # a lone representative projects onto the empty join (), so it is extremal
+    return [
+        idx
+        for idx in rep_idx
+        if _project([views[k] for k in rep_idx if k != idx], views[idx])[1] != views[idx]
+    ]
 
 
 def extremal_columns(e: Matrix) -> list[int]:
@@ -175,15 +181,16 @@ def negation_closed(e: Matrix) -> bool:
     """Whether the column space equals its own pointwise negation.
 
     Decided two independent ways that must agree: symmetry of ``e``, and
-    membership of every negated extremal column.  A strongly regular
-    idempotent has tropical rank n, so all n of its columns are extremal
-    (Develin, Santos & Sturmfels, "On the rank of a tropical matrix", 2005).
+    membership of every negated extremal column, in one span test.  A
+    strongly regular idempotent has tropical rank n, so all n of its
+    columns are extremal (Develin, Santos & Sturmfels, "On the rank of a
+    tropical matrix", 2005).
     """
     _square_grid(e, "negation_closed")
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()
-    by_extremals = all(in_span(cols, -c) for c in cols)
+    by_extremals = in_span(cols, *[-c for c in cols])
     if symmetric != by_extremals:
         raise ConsistencyError("negation-closure tests disagree (symmetry vs extremals)")
     return symmetric

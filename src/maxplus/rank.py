@@ -94,42 +94,29 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
     Every optimal permutation uses only edges tight against the optimal
     dual, and a second one exists exactly when the digraph
     row i -> row matched to j, over tight non-matching edges (i, j),
-    contains a directed cycle.
+    contains a directed cycle.  The digraph has no self-loops, as
+    owner[j] != i for j != images[i]; Kahn's algorithm peels rows of
+    in-degree 0, and a cycle remains exactly when some row is never peeled.
     """
     n = len(cost)
     owner = [0] * n
     for i, j in enumerate(images):
         owner[j] = i
     succs = []
+    indegree = [0] * n
     for i in range(n):
         row = cost[i]
-        out = [
-            owner[j]
-            for j in range(n)
-            if j != images[i] and row[j] == u[i] + v[j]
-        ]
+        out = [owner[j] for j in range(n) if j != images[i] and row[j] == u[i] + v[j]]
+        for k in out:
+            indegree[k] += 1
         succs.append(out)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(succs[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+    peeled = [i for i in range(n) if indegree[i] == 0]
+    for i in peeled:  # the list grows while it is scanned
+        for k in succs[i]:
+            indegree[k] -= 1
+            if indegree[k] == 0:
+                peeled.append(k)
+    return len(peeled) < n
 
 
 def permanent(a: Matrix) -> PermanentResult:

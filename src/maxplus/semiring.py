@@ -48,6 +48,7 @@ collections are rare, and those free lists held about a megabyte.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class MinusInf:
     """The bottom element.  Compares below every rational; use ``NEG_INF``."""
 
@@ -93,23 +95,6 @@ class MinusInf:
             return False
         if isinstance(other, (Fraction, int)):
             return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self or isinstance(other, (Fraction, int)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self or isinstance(other, (Fraction, int)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (Fraction, int)):
-            return False
         return NotImplemented
 
     def __hash__(self):

@@ -148,6 +148,26 @@ def brute_membership(generators, x):
     return list(proj) == list(xs), tuple(coeffs), tuple(proj)
 
 
+def brute_in_hclass(m, n):
+    """``hclass_contains(m, n)`` for an ``m`` whose columns are all extremal.
+
+    Mutual span membership of the columns, the negated rows of ``n`` in the
+    column space of ``m`` and the negated columns of ``m`` in the row space
+    of ``n``, all by :func:`brute_membership` on Fraction entries.
+    """
+    cols_m = [Vector(c) for c in zip(*m.entries)]
+    cols_n = [Vector(c) for c in zip(*n.entries)]
+    rows_n = [Vector(r) for r in n.entries]
+
+    def inside(gens, points, sign=1):
+        return all(brute_membership(gens, Vector([sign * e for e in x.entries]))[0] for x in points)
+
+    return (
+        inside(cols_m, cols_n) and inside(cols_n, cols_m)
+        and inside(cols_m, rows_n, -1) and inside(rows_n, cols_m, -1)
+    )
+
+
 def brute_idempotent_family(e, lam):
     """The member of ``idempotent_family`` found by a span-membership search.
 

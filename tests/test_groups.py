@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -32,6 +33,7 @@ from helpers import (
     HEX_ASYM,
     HEX_SYM,
     brute_generated,
+    brute_in_hclass,
     brute_is_group,
     brute_isometries,
     cube_grid,
@@ -402,6 +404,69 @@ def test_hclass_contains_metric_route_matches_span_route():
             members += expected
             others += not expected
     assert members >= 250 and others >= 350
+
+
+def span_route_cases(rng, kind):
+    """(m, witness) for the span route; scalings of the witness, or of ``m``
+    when there is none, are members.
+
+    ``semimetric``: a semimetric matrix, sometimes one with a large isometry
+    group.  ``conjugate``: D * S * D^-1 for a semimetric matrix S and a
+    diagonal D, a strongly regular idempotent with positive entries off the
+    diagonal.  ``witness``: S with its columns permuted and scaled, passed
+    with S as witness.
+    """
+    n = rng.randint(2, 5)
+    if rng.random() < 0.25:
+        grid = rng.choice((uniform_grid, cycle_grid, directed_cycle_grid))(n)
+        s = to_matrix(relabelled(rng, grid, rng.randint(1, 3)))
+    else:
+        s = to_matrix(rand_semimetric(rng, n, symmetric=rng.random() < 0.3))
+    if kind == "semimetric":
+        return s, None
+    shift = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+    if kind == "conjugate":
+        return Matrix([[s[i, j] - shift[i] + shift[j] for j in range(n)] for i in range(n)]), None
+    t = list(range(n))
+    rng.shuffle(t)
+    return Matrix([[s[i, t[j]] + shift[j] for j in range(n)] for i in range(n)]), s
+
+
+@pytest.mark.parametrize("kind", ["semimetric", "conjugate", "witness"])
+def test_span_route_matches_brute_force(kind):
+    """The span route, which takes every column of m as extremal, against
+    mutual span membership on Fraction entries."""
+    rng = random.Random(604)
+    found = Counter()
+    for _ in range(15):
+        m, witness = span_route_cases(rng, kind)
+        base = m if witness is None else witness
+        n = m.rows
+        grid = [list(row) for row in base.entries]
+        identity = tuple(range(n))
+        candidates = [m]
+        for _ in range(2):
+            lam = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+            member = base.scale(lam)
+            near = [list(row) for row in member.entries]
+            near[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1)) * Fraction(1, 3)
+            s = list(range(n))
+            rng.shuffle(s)
+            t = list(range(n))
+            rng.shuffle(t)
+            shift = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            candidates += [
+                member,
+                Matrix(near),
+                permuted(grid, s, identity, lam),  # rows permuted
+                permuted(grid, s, t, lam),  # both permuted
+                Matrix([[x + c for x, c in zip(row, shift)] for row in grid]),  # columns scaled
+            ]
+        for x in candidates:
+            expected = brute_in_hclass(m, x)
+            assert _span_contains(m, x, witness) == expected
+            found[expected] += 1
+    assert found[True] >= 30 and found[False] >= 30
 
 
 def test_hclass_decompose_inverts_hclass_element():

@@ -12,7 +12,8 @@ chains of operations, and the audit entry points are checked at a
 hostile D (a distinct 120-bit denominator per entry).  The
 pairwise rules that read the structure of an idempotent are checked
 against span membership, and counter gates pin how many products,
-assignments and span projections the audit entry points run.
+assignments, span projections and alignments to one denominator the audit
+entry points run.
 """
 
 import random
@@ -33,6 +34,7 @@ from maxplus import (
     Matrix,
     Permutation,
     PreconditionError,
+    ShapeError,
     Vector,
     classify,
     eigenvalue,
@@ -55,18 +57,21 @@ from maxplus import (
     negation_closed,
     permanent,
     residuation,
+    residuation_bound_check,
     scale,
     to_matrix,
     validate,
     zero_diag_regularity,
 )
 from maxplus.groups import _span_contains
+from maxplus.polytope import in_span
 from maxplus.svg import render_matrix
 
 from helpers import (
     GOLDEN_IDEMPOTENTS,
     brute_cycle_mean,
     brute_idempotent_family,
+    brute_in_hclass,
     brute_isometries,
     brute_mat_mul,
     brute_membership,
@@ -144,7 +149,7 @@ def test_kleene_star_matches_series():
 def test_permanent_matches_brute_force():
     rng = random.Random(204)
     for _ in range(60):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 7)
         if rng.random() < 0.5:
             a = prime_matrix(rng, n)
         else:  # a small alphabet forces ties between optimal permutations
@@ -244,7 +249,9 @@ def test_residuation_matches_naive_min():
 
 def test_membership_matches_brute_force():
     rng = random.Random(208)
+    batch_rng = random.Random(219)  # keeps the single-point draws as they were
     members = 0
+    batches = Counter()
     for _ in range(150):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         gens = [prime_vector(rng, n) for _ in range(k)]
@@ -260,7 +267,25 @@ def test_membership_matches_brute_force():
         assert res.projection.entries == proj
         assert res.projection == Vector(proj)
         members += member
+        # in_span tests any number of points against generators aligned once
+        points = [
+            Vector(naive_join([prime_scalar(batch_rng) for _ in gens], gens))
+            if batch_rng.random() < 0.7
+            else prime_vector(batch_rng, n)
+            for _ in range(batch_rng.randint(0, 4))
+        ]
+        inside = [brute_membership(gens, p)[0] for p in points]
+        assert in_span(gens, *points) == all(inside)
+        batches[all(inside), bool(inside) and inside[0]] += 1
     assert 75 <= members < 150
+    # all members, a non-member after a member first, and a non-member first
+    assert batches[True, True] >= 20 and batches[False, True] >= 20 and batches[False, False] >= 20
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        in_span([], Vector([0]))
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        in_span([])
+    with pytest.raises(ShapeError, match="vector lengths differ: 2 vs 1"):
+        in_span([Vector([0, 1])], Vector([1, 0]), Vector([0]))
 
 
 def test_extremal_indices_collapse_scaling_classes():
@@ -507,26 +532,6 @@ def hostile_grid(rng, n, kind):
     return grid
 
 
-def brute_in_hclass(m, n):
-    """``hclass_contains(m, n)`` for an ``m`` whose columns are all extremal.
-
-    Mutual span membership of the columns, the negated rows of ``n`` in the
-    column space of ``m`` and the negated columns of ``m`` in the row space
-    of ``n``, all by :func:`brute_membership` on Fraction entries.
-    """
-    cols_m = [Vector(c) for c in zip(*m.entries)]
-    cols_n = [Vector(c) for c in zip(*n.entries)]
-    rows_n = [Vector(r) for r in n.entries]
-
-    def inside(gens, points, sign=1):
-        return all(brute_membership(gens, Vector([sign * e for e in x.entries]))[0] for x in points)
-
-    return (
-        inside(cols_m, cols_n) and inside(cols_n, cols_m)
-        and inside(cols_m, rows_n, -1) and inside(rows_n, cols_m, -1)
-    )
-
-
 def test_kernels_match_fraction_oracles_at_hostile_denominators():
     """n = 10-12 with a distinct 120-bit denominator per entry, so D has
     thousands of bits and kernel results keep Ds that are not least."""
@@ -631,6 +636,7 @@ def test_pairwise_rules_match_span_membership():
         n = rng.randint(1, 7)
         e = random_idempotent(rng, n)
         assert is_idempotent(e)
+        assert residuation_bound_check(e)  # both diagonal branches, as some diagonals are negative
         cols = e.column_vectors()
         zero_diag = [j for j in range(n) if e[j, j] == 0]
         by_membership = [zero_diag[k] for k in extremal_indices([cols[j] for j in zero_diag])]
@@ -656,14 +662,16 @@ def test_pairwise_rules_match_span_membership():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of products, assignments, ``membership`` calls, span projections
-    and the span tests ``groups`` makes."""
+    """Counts of products, assignments, ``membership`` calls, span projections,
+    alignments of vector sets to one denominator and the span tests ``groups``
+    makes."""
     counts = Counter()
     for module, name in (
         (semiring_module, "mat_mul"),
         (rank_module, "_max_assignment"),
         (polytope_module, "membership"),
         (polytope_module, "_project"),
+        (polytope_module, "int_vectors"),
         (groups_module, "in_span"),
     ):
         def counted(*args, _orig=getattr(module, name), _name=name):
@@ -688,9 +696,15 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     assert hclass_contains(m, m)
     assert not calls  # the metric route reads (sigma, lam) from the ints
     # the span route: n each for n's columns in m's span, m's columns in n's, the
-    # negated rows, the negated extremals and extremal_indices; none compares m with itself
+    # negated rows and m's negated columns, all extremal as m is strongly regular;
+    # none compares m with itself, and each of the four span tests aligns once
     assert _span_contains(m, m, None)
-    assert calls["_project"] == 5 * n
+    assert calls["_project"] == 4 * n
+    assert calls["int_vectors"] == calls["in_span"] == 4
+    calls.clear()
+    # one alignment for all n columns, then one projection per representative
+    assert extremal_indices(m.column_vectors()) == list(range(n))
+    assert (calls["int_vectors"], calls["_project"]) == (1, n)
 
 
 def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
@@ -716,4 +730,5 @@ def test_render_and_negation_closed_check_once(calls):
         calls.clear()
         negation_closed(e)
         assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+        assert calls["int_vectors"] == 1  # the three negated columns in one span test
 

@@ -55,7 +55,7 @@ def test_permanent_rejects_neg_inf_entries():
 def test_permanent_matches_brute_force():
     rng = random.Random(71)
     for _ in range(40):
-        a = rand_matrix(rng, rng.randint(1, 6))
+        a = rand_matrix(rng, rng.randint(1, 7))
         res = permanent(a)
         value, count, _ = brute_permanent(a)
         assert res.value == value

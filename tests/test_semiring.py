@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -51,6 +52,18 @@ def test_neg_inf_is_a_singleton_and_least():
     assert not (NEG_INF < NEG_INF)
     assert NEG_INF <= NEG_INF
     assert max(NEG_INF, Fraction(2)) == Fraction(2)
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+    # below every Fraction, int and bool, and equal only to itself, in either operand order
+    for x in (Fraction(-10**9), Fraction(-1, 3), Fraction(5, 2), -7, 0, 12, True, False):
+        assert [op(NEG_INF, x) for op in ops] == [True, True, False, False]
+        assert [op(x, NEG_INF) for op in ops] == [False, False, True, True]
+    assert [op(NEG_INF, NEG_INF) for op in ops] == [False, True, False, True]
+    for x in (0.0, float("-inf"), "a"):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(NEG_INF, x)
+            with pytest.raises(TypeError):
+                op(x, NEG_INF)
 
 
 def test_tadd_examples():
