@@ -87,10 +87,8 @@ def unit_decompose(g: ExtMatrix) -> UnitDecomposition:
     if cols is None:
         raise PreconditionError("unit_decompose requires a unit matrix")
     diagonal = tuple(g[i, j] for i, j in enumerate(cols))
-    images = [0] * g.rows
-    for i, j in enumerate(cols):
-        images[j] = i  # column j's finite entry sits in row sigma(j)
-    return UnitDecomposition(diagonal, Permutation(images))
+    # column j's finite entry sits in row sigma(j)
+    return UnitDecomposition(diagonal, Permutation(cols).inverse())
 
 
 def _require_group(found, n: int) -> list[tuple[int, ...]]:

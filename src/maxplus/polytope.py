@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .closure import _matrix_grid, _square_grid, is_idempotent
+from .closure import _matrix_grid, _require_square, _square_grid, is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .rank import column_classes, is_strongly_regular
 from .semiring import (
@@ -105,12 +105,22 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     For strongly regular idempotents, interior points are exactly those
     with a unique expression over the columns: every column must attain
     some coordinate of ``x`` alone.
+
+    One span test decides both membership and the answer.  The checks run
+    in this order, and the first that fails raises: ``e`` is a ``Matrix``
+    (``PreconditionError``), ``x`` has ``e.rows`` entries (``ShapeError``),
+    ``x`` is in the column space (``PreconditionError``), ``e`` is square
+    (``ShapeError``), and ``e`` is a strongly regular idempotent
+    (``PreconditionError``).  So a point outside the column space of a
+    matrix that is also not square, or not an idempotent, is reported as
+    outside the column space.
     """
-    _square_grid(e, "interior_point")
-    _require_strongly_regular_idempotent(e, "interior_point")
+    _matrix_grid(e, "interior_point")
     interior = interior_test(e, x)
     if interior is None:
         raise PreconditionError("point is not in the column space")
+    _require_square(e)
+    _require_strongly_regular_idempotent(e, "interior_point")
     return interior
 
 
@@ -234,10 +244,15 @@ def polytrope_vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
     every one of them tight, so the vertices are where constraints adjacent
     in the counterclockwise order of their outward normals meet.  The list
     starts at the lexicographically smallest vertex.
+
+    The size is checked before idempotency and strong regularity, so a
+    large matrix is refused before any product or integer view is built,
+    and a matrix that is neither 3x3 nor idempotent is reported by size.
     """
-    _require_strongly_regular_idempotent(e, "polytrope_vertices_2d")
+    _require_square(e)
     if e.rows != 3:
         raise PreconditionError("vertex enumeration is implemented for 3x3 matrices only")
+    _require_strongly_regular_idempotent(e, "polytrope_vertices_2d")
     return vertices_2d(e)
 
 

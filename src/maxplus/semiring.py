@@ -547,18 +547,16 @@ def mat_mul(a: ExtMatrix, b: ExtMatrix) -> ExtMatrix:
 
 
 def mat_vec(a: ExtMatrix, x: Vector) -> Vector:
-    """Apply ``a`` to a finite column vector; the result must stay finite."""
+    """Apply ``a`` to a finite column vector; the result must stay finite.
+
+    The product of ``a`` and ``x`` as a one-column matrix, by :func:`mat_mul`,
+    over the lcm of their denominators.
+    """
     if a.cols != len(x):
         raise ShapeError(f"cannot apply {a.rows}x{a.cols} to a vector of length {len(x)}")
-    (num, da), (xs, dx) = a._int_view(), x._int_view()
-    den = lcm(da, dx)
-    num = _rescale(num, den // da)
-    if dx != den:
-        xs = [v * (den // dx) for v in xs]
-    out = []
-    for row in num:
-        acc = max((e + v for e, v in zip(row, xs) if e is not None), default=None)
-        if acc is None:
-            raise PreconditionError("matrix row is identically -inf; result leaves finite space")
-        out.append(acc)
+    ints, den = x._int_view()
+    num, den = mat_mul(a, Matrix._from_ints([[v] for v in ints], den))._int_view()
+    out = [row[0] for row in num]
+    if None in out:
+        raise PreconditionError("matrix row is identically -inf; result leaves finite space")
     return Vector._from_ints(out, den)

@@ -109,38 +109,6 @@ class _Canvas:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _clip_halfplane(poly, f):
-    # keep the region f(p) >= 0; exact Sutherland-Hodgman step
-    out = []
-    m = len(poly)
-    for idx in range(m):
-        cur, nxt = poly[idx], poly[(idx + 1) % m]
-        fc, fn = f(cur), f(nxt)
-        if fc >= 0:
-            out.append(cur)
-        if (fc >= 0) != (fn >= 0):
-            t = fc / (fc - fn)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    return out
-
-
-def _segment_in_square(c, lo, hi):
-    # the segment of the line x - y = c inside [lo, hi]^2
-    pts = []
-    for x in (lo, hi):
-        y = x - c
-        if lo <= y <= hi:
-            pts.append((x, y))
-    for y in (lo, hi):
-        x = y + c
-        if lo <= x <= hi:
-            pts.append((x, y))
-    pts = sorted(set(pts))
-    return (pts[0], pts[-1]) if len(pts) >= 2 else None
-
-
 def _render_band(e: Matrix) -> str:
     # the fixed-point band k <= x - y <= -l describes the column space only
     # for zero-diagonal idempotents
@@ -150,17 +118,25 @@ def _render_band(e: Matrix) -> str:
     one = Fraction(1)
     lo = min(Fraction(0), k, l) - one
     hi = max(Fraction(0), k, l) + one
+    # both edges x - y = c, c in {k, -l}, cross [lo, hi]^2 from its bottom or
+    # left side to its top or right side
+    (a, b), (c, d) = [
+        ((lo + max(t, 0), lo - min(t, 0)), (hi + min(t, 0), hi - max(t, 0))) for t in (k, -l)
+    ]
+    # idempotency gives k <= -l; the band is a quadrilateral below the
+    # diagonal (k > 0), above it (l > 0), and otherwise a hexagon through the
+    # square's corners (lo, lo) and (hi, hi)
+    if k > 0:
+        band = [a, c, d, b]
+    elif l > 0:
+        band = [d, b, a, c]
+    else:
+        band = [(lo, lo), c, d, (hi, hi), b, a]
     canvas = _Canvas([lo, hi], [lo, hi])
     canvas.grid()
-    square = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
-    band = _clip_halfplane(square, lambda p: (p[0] - p[1]) - k)
-    band = _clip_halfplane(band, lambda p: -l - (p[0] - p[1]))
-    if band:
-        canvas.polygon(band)
-    for c in (k, -l):
-        seg = _segment_in_square(c, lo, hi)
-        if seg:
-            canvas.line(seg[0], seg[1], _EDGE, 2)
+    canvas.polygon(band)
+    canvas.line(a, b, _EDGE, 2)
+    canvas.line(c, d, _EDGE, 2)
     canvas.dot((k, Fraction(0)))
     canvas.dot((Fraction(0), l))
     return canvas.emit("band")

@@ -30,6 +30,11 @@ def files(tmp_path):
         "hex_sym_dist": write("hex_sym_dist.tmat", -HEX_SYM),
         "diverging": write("diverging.tmat", Matrix([[1]])),
         "small": write("small.tmat", Matrix([[-5, 0], [-2, -5]])),
+        "band_inside": write("band_inside.tmat", Matrix([[0, -1], [-2, 0]])),
+        "band_below": write("band_below.tmat", Matrix([[0, 1], [-3, 0]])),
+        "band_above": write("band_above.tmat", Matrix([[0, -3], [1, 0]])),
+        "band_line": write("band_line.tmat", Matrix([[0, 2], [-2, 0]])),
+        "band_zero": write("band_zero.tmat", Matrix([[0, 0], [0, 0]])),
         "dir": tmp_path,
     }
 
@@ -138,6 +143,13 @@ def test_render_matches_golden(files, capsys):
         ("triangle", "triangle.svg"),
         ("hex_asym", "hexagon_asym.svg"),
         ("hex_sym", "hexagon_sym.svg"),
+        # 2x2 bands: below the diagonal (k > 0), above it (l > 0), around it,
+        # of zero width (k = -l), and with both corners repeated (k = l = 0)
+        ("band_below", "band_below.svg"),
+        ("band_above", "band_above.svg"),
+        ("band_inside", "band_inside.svg"),
+        ("band_line", "band_line.svg"),
+        ("band_zero", "band_zero.svg"),
     ]:
         out_path = files["dir"] / f"{key}.out.svg"
         assert main(["render", files[key], "-o", str(out_path)]) == 0

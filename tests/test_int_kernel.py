@@ -63,7 +63,9 @@ from maxplus import (
     validate,
     zero_diag_regularity,
 )
+from maxplus.cli import main as cli_main
 from maxplus.groups import _span_contains
+from maxplus.matio import serialize_matrix
 from maxplus.polytope import in_span
 from maxplus.svg import render_matrix
 
@@ -221,22 +223,28 @@ def naive_join(coeffs, gens):
 
 
 def test_mat_vec_matches_naive_loop():
-    rng = random.Random(206)
-    for _ in range(80):
-        rows, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = ExtMatrix(prime_grid(rng, rows, n, rng.choice((0.0, 0.3, 0.7))))
-        x = prime_vector(rng, n)
-        expected = [
-            max((e + v for e, v in zip(row, x.entries) if e is not NEG_INF), default=None)
-            for row in a.entries
-        ]
-        if None in expected:
-            with pytest.raises(PreconditionError):
-                mat_vec(a, x)
-        else:
-            y = mat_vec(a, x)
-            assert y.entries == tuple(expected)
-            assert y == Vector(expected) and hash(y) == hash(Vector(expected))
+    """ExtMatrix operands, some with -inf entries, and finite Matrix operands,
+    which take mat_mul's finite path; the second stream leaves the first's draws."""
+    for rng, kind in ((random.Random(206), ExtMatrix), (random.Random(2060), Matrix)):
+        for _ in range(80):
+            rows, n = rng.randint(1, 6), rng.randint(1, 6)
+            neg_inf = rng.choice((0.0, 0.3, 0.7)) if kind is ExtMatrix else 0.0
+            a = kind(prime_grid(rng, rows, n, neg_inf))
+            x = prime_vector(rng, n)
+            expected = [
+                max((e + v for e, v in zip(row, x.entries) if e is not NEG_INF), default=None)
+                for row in a.entries
+            ]
+            if None in expected:
+                with pytest.raises(PreconditionError, match="identically -inf"):
+                    mat_vec(a, x)
+            else:
+                y = mat_vec(a, x)
+                assert y.entries == tuple(expected)
+                assert y == Vector(expected) and hash(y) == hash(Vector(expected))
+                assert y._int_view()[1] == lcm(a._int_view()[1], x._int_view()[1])
+    with pytest.raises(ShapeError, match="^cannot apply 2x3 to a vector of length 2$"):
+        mat_vec(Matrix([[0, 1, 2], [3, 4, 5]]), Vector([0, 0]))
 
 
 def test_residuation_matches_naive_min():
@@ -719,6 +727,15 @@ def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
     assert not hclass_contains(m, Matrix(outside))
     assert hclass_decompose(m, member) == (Permutation.identity(n), Fraction(5, 3))
     assert not calls  # no in_span, product, assignment, membership or projection
+
+
+def test_cli_interior_tests_the_point_once(calls, tmp_path, capsys):
+    # one alignment and one projection decide both membership and the answer
+    path = tmp_path / "metric.tmat"
+    path.write_text(serialize_matrix(Matrix([[0, -1, -2], [-1, 0, -2], [-2, -2, 0]])))
+    assert cli_main(["interior", str(path), "--point", "0,0,0"]) == 0
+    assert capsys.readouterr().out == "interior\n"
+    assert (calls["int_vectors"], calls["_project"]) == (1, 1)
 
 
 def test_render_and_negation_closed_check_once(calls):

@@ -118,10 +118,24 @@ def test_interior_point_examples():
 
 
 def test_interior_point_errors():
+    from maxplus import ShapeError
+
     with pytest.raises(PreconditionError, match="column space"):
         interior_point(HEX_ASYM, Vector([5, 5, 0]))
     with pytest.raises(PreconditionError):
         interior_point(Matrix([[0, 0], [0, 0]]), Vector([0, 0]))
+    # membership is tested before squareness and idempotency, so a point
+    # outside the span is reported as such whatever else is wrong
+    with pytest.raises(PreconditionError, match="column space"):
+        interior_point(Matrix([[1, 0], [0, 0]]), Vector([0, 5]))
+    with pytest.raises(PreconditionError, match="column space"):
+        interior_point(Matrix([[0, -1, -2], [0, 0, 0]]), Vector([0, 5]))
+    with pytest.raises(ShapeError, match="square"):
+        interior_point(Matrix([[0, -1, -2], [0, 0, 0]]), Vector([0, 2]))
+    with pytest.raises(ShapeError, match="lengths differ"):
+        interior_point(Matrix([[1, 0], [0, 0]]), Vector([0, 0, 0]))
+    with pytest.raises(PreconditionError, match="not an ExtMatrix"):
+        interior_point(ExtMatrix([[0, -1, 0]]), Vector([0, 0]))
 
 
 def test_extremal_columns_examples():
@@ -341,6 +355,14 @@ def test_polytrope_vertices_requires_3x3_strongly_regular():
         polytrope_vertices_2d(Matrix([[0, 0], [0, 0]]))
     with pytest.raises(PreconditionError):
         polytrope_vertices_2d(to_matrix(rand_metric(random.Random(0), 4)))
+
+
+def test_polytrope_vertices_refuse_large_matrices_before_their_integer_view():
+    # the size is checked before the product and the assignment, which build the view
+    big = Matrix([[Fraction(-i - j, 7 + i) for j in range(4)] for i in range(4)])
+    with pytest.raises(PreconditionError, match="3x3"):
+        polytrope_vertices_2d(big)
+    assert big._ints is None
 
 
 def test_min_plus_closure_of_polytropes():
