@@ -10,7 +10,6 @@ from .closure import _require_square, _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .metric import DistanceClass, DistanceTable, _table_level, validate
 from .permutation import Permutation
-from .polytope import in_span
 from .rank import is_strongly_regular
 from .semiring import (
     NEG_INF,
@@ -227,13 +226,26 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     return from_int_grid(d, [grid[inv(i)] for i in range(d.rows)]).scale(lam)
 
 
-def _decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
-    """:func:`hclass_decompose` for a metric matrix ``e`` and a finite ``Matrix`` ``n``.
+def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
+    """The (sigma, lam) with ``n == hclass_element(e, sigma, lam)``, or ``None``.
 
+    ``e`` must be a metric matrix.  Its maximal subgroup is
+    {lam * P_sigma * e : sigma an isometry, lam rational}, isomorphic to
+    Isom(d) x Q, so ``None`` means that ``n`` lies outside the subgroup.
     Column j of lam * P_sigma * e is column j of ``e``, rows permuted by
-    sigma and shifted by lam.  Off its zero diagonal a metric matrix is
+    sigma and shifted by lam; off its zero diagonal a metric matrix is
     negative, so that column has its unique maximum lam in row sigma(j).
+    So sigma is read from the column maxima of ``n`` and lam is their
+    common value; then sigma is checked to be an isometry and ``n`` is
+    compared with the element row by row, all in O(n^2) on ints over one
+    denominator after the O(n^3) metric check.
     """
+    if not (e.is_square and n.is_square and e.rows == n.rows):
+        raise ShapeError("hclass_decompose requires square matrices of equal size")
+    grid = _square_grid(e, "hclass_decompose")
+    _square_grid(n, "hclass_decompose")
+    if _table_level(e, grid) != DistanceClass.METRIC:
+        raise PreconditionError("hclass_decompose requires a metric matrix")
     ge, gn, den = int_grids(e, n, "hclass_decompose")
     images = [col.index(max(col)) for col in zip(*gn)]
     if len(set(images)) != len(images) or not _is_isometry(ge, images):
@@ -244,26 +256,6 @@ def _decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
     if any(list(map(sub, gn[img], row)) != shift for img, row in zip(images, ge)):
         return None
     return Permutation(images), from_int_scalars((lam,), den)[0]
-
-
-def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
-    """The (sigma, lam) with ``n == hclass_element(e, sigma, lam)``, or ``None``.
-
-    ``e`` must be a metric matrix.  Its maximal subgroup is
-    {lam * P_sigma * e : sigma an isometry, lam rational}, isomorphic to
-    Isom(d) x Q, so ``None`` means that ``n`` lies outside the subgroup.
-    sigma is read from the column maxima of ``n`` and lam is their common
-    value; then sigma is checked to be an isometry and ``n`` is compared
-    with the element entry by entry, all in O(n^2) after the O(n^3)
-    metric check.
-    """
-    if not (e.is_square and n.is_square and e.rows == n.rows):
-        raise ShapeError("hclass_decompose requires square matrices of equal size")
-    grid = _square_grid(e, "hclass_decompose")
-    _square_grid(n, "hclass_decompose")
-    if _table_level(e, grid) != DistanceClass.METRIC:
-        raise PreconditionError("hclass_decompose requires a metric matrix")
-    return _decompose(e, n)
 
 
 def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
@@ -282,50 +274,54 @@ def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     )
 
 
-def _span_contains(m: Matrix, n: Matrix, idempotent: Matrix | None) -> bool:
-    """:func:`hclass_contains` by mutual span membership, for finite ``Matrix`` inputs.
+def _ray_keys(vectors) -> set[tuple[int, ...]]:
+    """Each int vector keyed by its differences to its first entry.
 
-    Four batched span tests, six when the idempotent e is a witness or the
-    star of ``m``.  Once col(m) = col(e) is known, that space has exactly n
-    extremal rays, e being strongly regular (Develin, Santos & Sturmfels
-    2005).  Every generating set holds a representative of each ray and
-    ``m`` has n columns, so every column of ``m`` is extremal.
+    Two vectors share a key exactly when they differ by a scalar, so keys
+    are comparable only between vectors over one denominator.
     """
-    cols_m = m.column_vectors()
-    e = _resolve_idempotent(m, idempotent)
-    if not is_strongly_regular(e):
-        raise PreconditionError("column space is not that of a strongly regular idempotent")
-    if e is not m:  # m spans its own column space
-        cols_e = e.column_vectors()
-        if not (in_span(cols_m, *cols_e) and in_span(cols_e, *cols_m)):
-            raise PreconditionError("witness idempotent has a different column space")
-
-    cols_n = n.column_vectors()
-    if not (in_span(cols_m, *cols_n) and in_span(cols_n, *cols_m)):
-        return False
-    rows_n = n.row_vectors()
-    return in_span(cols_m, *[-r for r in rows_n]) and in_span(rows_n, *[-c for c in cols_m])
+    return {tuple([x - v[0] for x in v]) for v in vectors}
 
 
 def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> bool:
     """Whether ``n`` lies in the maximal subgroup determined by ``m``.
 
     Membership means the column spaces of ``m`` and ``n`` coincide and
-    the row space of ``n`` is the negated column space.  Two routes decide
-    it.  When no witness is supplied and ``m`` is a metric matrix (zero
-    diagonal, ``validate`` level ``METRIC``), the subgroup is
-    {lam * P_sigma * m : sigma an isometry}, and the answer is whether
-    :func:`hclass_decompose` finds (sigma, lam): O(n^2) after the O(n^3)
-    metric check.  Otherwise ``m`` must span the column space of a
-    strongly regular idempotent (itself, a supplied witness, or its Kleene
-    star), and both conditions are decided by mutual span membership on
-    generators; the paper proves the product form only for metrics.
-    Every matrix must be a finite ``Matrix``.
+    the row space of ``n`` is the negated column space.  Both are read off
+    a strongly regular idempotent e with the column space of ``m``.  When
+    no witness is supplied and ``m`` is a semimetric matrix (zero
+    diagonal, ``validate`` level ``SEMIMETRIC`` or ``METRIC``), e is ``m``
+    itself: by the paper's dictionary such a matrix is a strongly regular
+    idempotent, so no product or assignment runs.  Otherwise e is ``m``, a
+    supplied witness or the Kleene star of ``m``, checked to be idempotent
+    and strongly regular, and a witness or star must have the columns of
+    ``m``, each shifted by a scalar, in some order.
+
+    The n columns of e are extremal and pairwise non-proportional
+    (Develin, Santos & Sturmfels 2005), and the negated column space
+    {x : x_j - x_i >= e[i, j]} is spanned by the rows of e.  n vectors
+    span a space with n extremal rays only when they lie on its rays, one
+    on each, so ``n`` is a member exactly when its columns are the columns
+    of e and its rows the rows of e, each shifted by a scalar, in some order.
+    Both are decided by comparing sets of :func:`_ray_keys` over one
+    denominator per pair, in O(n^2) after the preconditions.  Every matrix
+    must be a finite ``Matrix`` of the same square size.
     """
-    if not (m.is_square and n.is_square and m.rows == n.rows):
+    given = (m, n) if idempotent is None else (m, n, idempotent)
+    if not all(a.is_square and a.rows == m.rows for a in given):
         raise ShapeError("hclass_contains requires square matrices of equal size")
     grid = _square_grid(m, "hclass_contains")
     _square_grid(n, "hclass_contains")
-    if idempotent is None and _table_level(m, grid) == DistanceClass.METRIC:
-        return _decompose(m, n) is not None
-    return _span_contains(m, n, idempotent)
+    semimetric = (DistanceClass.SEMIMETRIC, DistanceClass.METRIC)
+    if idempotent is None and _table_level(m, grid) in semimetric:
+        e = m
+    else:
+        e = _resolve_idempotent(m, idempotent)
+        if not is_strongly_regular(e):
+            raise PreconditionError("column space is not that of a strongly regular idempotent")
+        if e is not m:  # m spans its own column space
+            ge, gm, _ = int_grids(e, m, "hclass_contains")
+            if _ray_keys(zip(*ge)) != _ray_keys(zip(*gm)):
+                raise PreconditionError("witness idempotent has a different column space")
+    ge, gn, _ = int_grids(e, n, "hclass_contains")
+    return _ray_keys(zip(*ge)) == _ray_keys(zip(*gn)) and _ray_keys(ge) == _ray_keys(gn)

@@ -11,10 +11,14 @@ from maxplus import (
     Vector,
     eigenvalue,
     from_matrix,
+    is_strongly_regular,
     kleene_star,
     membership,
     scale,
 )
+from maxplus.errors import PreconditionError
+from maxplus.groups import _resolve_idempotent
+from maxplus.polytope import in_span
 
 # The three 3x3 golden idempotents: a polytrope with the origin on its
 # boundary, an asymmetric hexagon (a semimetric), and a centrally
@@ -166,6 +170,35 @@ def brute_in_hclass(m, n):
         inside(cols_m, cols_n) and inside(cols_n, cols_m)
         and inside(cols_m, rows_n, -1) and inside(rows_n, cols_m, -1)
     )
+
+
+def span_in_hclass(m, n, idempotent=None):
+    """``hclass_contains(m, n, idempotent)`` by mutual span membership, for
+    finite ``Matrix`` inputs of one size.
+
+    The idempotent e is resolved and checked as ``hclass_contains`` does;
+    then ``m`` and e must span each other's columns, and the answer is
+    mutual span membership of the columns of ``m`` and ``n``, of the
+    negated rows of ``n`` in the column space of ``m`` and of the negated
+    columns of ``m`` in the row space of ``n``: four to six batched
+    ``in_span`` tests.  Once col(m) = col(e) is known, that space has
+    exactly n extremal rays, e being strongly regular, so every column of
+    ``m`` is extremal.
+    """
+    cols_m = m.column_vectors()
+    e = _resolve_idempotent(m, idempotent)
+    if not is_strongly_regular(e):
+        raise PreconditionError("column space is not that of a strongly regular idempotent")
+    if e is not m:  # m spans its own column space
+        cols_e = e.column_vectors()
+        if not (in_span(cols_m, *cols_e) and in_span(cols_e, *cols_m)):
+            raise PreconditionError("witness idempotent has a different column space")
+
+    cols_n = n.column_vectors()
+    if not (in_span(cols_m, *cols_n) and in_span(cols_n, *cols_m)):
+        return False
+    rows_n = n.row_vectors()
+    return in_span(cols_m, *[-r for r in rows_n]) and in_span(rows_n, *[-c for c in cols_m])
 
 
 def brute_idempotent_family(e, lam):

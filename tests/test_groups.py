@@ -8,9 +8,11 @@ import pytest
 
 from maxplus import (
     ConsistencyError,
+    DistanceClass,
     DistanceTable,
     ExtMatrix,
     Matrix,
+    MaxplusError,
     NEG_INF,
     Permutation,
     PreconditionError,
@@ -22,11 +24,13 @@ from maxplus import (
     hclass_element,
     is_unit,
     isometry_group,
+    kleene_star,
     mat_mul,
     to_matrix,
     unit_decompose,
+    validate,
 )
-from maxplus.groups import _require_group, _span_contains
+from maxplus.groups import _require_group
 
 from helpers import (
     CLAW,
@@ -43,6 +47,7 @@ from helpers import (
     rand_metric,
     rand_semimetric,
     relabelled,
+    span_in_hclass,
     uniform_grid,
 )
 
@@ -283,6 +288,14 @@ def test_hclass_contains_supplied_idempotent():
         hclass_contains(shifted, member, idempotent=HEX_ASYM)
 
 
+def test_hclass_contains_refuses_a_witness_of_another_size():
+    # a smaller witness used to leak the span kernel's "vector lengths differ"
+    two = Matrix([[0, -1], [-1, 0]])
+    for m, witness in ((HEX_SYM, two), (two, HEX_SYM), (HEX_SYM, Matrix([[0, -1, -1]]))):
+        with pytest.raises(ShapeError, match="^hclass_contains requires square matrices of equal size$"):
+            hclass_contains(m, m, idempotent=witness)
+
+
 def test_hclass_contains_requires_full_rank_space():
     flat = Matrix([[0, 0], [0, 0]])
     with pytest.raises(PreconditionError):
@@ -368,7 +381,8 @@ def oracle_metrics(rng):
 
 
 def test_hclass_contains_metric_route_matches_span_route():
-    """On metric matrices the decomposition agrees with mutual span membership."""
+    """On metric matrices the key test and the decomposition agree with mutual
+    span membership, on ints and on Fraction entries."""
     rng = random.Random(601)
     members = others = 0
     for table in oracle_metrics(rng):
@@ -395,8 +409,8 @@ def test_hclass_contains_metric_route_matches_span_route():
             candidates.append(permuted(grid, s, t, lam))  # P_s E P_t
             candidates.append(permuted(grid, s, s, 0))  # E relabelled by s
         for x in candidates:
-            expected = _span_contains(e, x, None)
-            assert hclass_contains(e, x) == expected
+            expected = span_in_hclass(e, x)
+            assert hclass_contains(e, x) == expected == brute_in_hclass(e, x)
             found = hclass_decompose(e, x)
             assert (found is not None) == expected
             if found is not None:
@@ -407,8 +421,8 @@ def test_hclass_contains_metric_route_matches_span_route():
 
 
 def span_route_cases(rng, kind):
-    """(m, witness) for the span route; scalings of the witness, or of ``m``
-    when there is none, are members.
+    """(m, witness) of one of three kinds; scalings of the witness, or of
+    ``m`` when there is none, are members.
 
     ``semimetric``: a semimetric matrix, sometimes one with a large isometry
     group.  ``conjugate``: D * S * D^-1 for a semimetric matrix S and a
@@ -434,8 +448,8 @@ def span_route_cases(rng, kind):
 
 @pytest.mark.parametrize("kind", ["semimetric", "conjugate", "witness"])
 def test_span_route_matches_brute_force(kind):
-    """The span route, which takes every column of m as extremal, against
-    mutual span membership on Fraction entries."""
+    """The key test against mutual span membership, on ints and on Fraction
+    entries; both oracles take every column of m as extremal."""
     rng = random.Random(604)
     found = Counter()
     for _ in range(15):
@@ -464,9 +478,126 @@ def test_span_route_matches_brute_force(kind):
             ]
         for x in candidates:
             expected = brute_in_hclass(m, x)
-            assert _span_contains(m, x, witness) == expected
+            assert hclass_contains(m, x, witness) == span_in_hclass(m, x, witness) == expected
             found[expected] += 1
     assert found[True] >= 30 and found[False] >= 30
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except MaxplusError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def coprime_scalar(rng):
+    """A scalar over a prime denominator that the inputs' (1, 2, 3, 4) miss."""
+    return Fraction(rng.randint(-40, 40), rng.choice((5, 7, 11, 13)))
+
+
+def oracle_case(rng, kind):
+    """(m, witness, base, extra) for the key-test oracle: scalings of ``base``
+    are members when ``m`` is accepted, and ``extra`` lists more candidates.
+
+    ``coprime``: a witness whose columns ``m`` shifts by scalars over
+    denominators coprime to the witness's.  ``twisted``: a metric with a
+    large isometry group conjugated by a diagonal, d(i, j) + phi_j - phi_i,
+    with the conjugated subgroup elements as extra candidates; a
+    semimetric or, when some distance drops to 0 or below, a
+    pre-semimetric.  ``star``: a matrix that is usually not idempotent, so
+    its star is the idempotent.  ``refused``: the flat matrix, a flat
+    witness and a witness that is usually not idempotent.
+    """
+    if kind in ("semimetric", "conjugate", "witness"):
+        m, witness = span_route_cases(rng, kind)
+        return m, witness, m if witness is None else witness, []
+    n = rng.randint(2, 5)
+    s = to_matrix(rand_semimetric(rng, n, symmetric=rng.random() < 0.3))
+    lowered = [list(row) for row in s.entries]
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        lowered[i][j] -= rng.randint(1, 3)
+    lowered = Matrix(lowered)
+    if kind == "coprime":
+        t = list(range(n))
+        rng.shuffle(t)
+        shift = [coprime_scalar(rng) for _ in range(n)]
+        return Matrix([[s[i, t[j]] + shift[j] for j in range(n)] for i in range(n)]), s, s, []
+    if kind == "twisted":
+        table = relabelled(rng, rng.choice((uniform_grid, cycle_grid))(n), rng.randint(1, 2))
+        e = to_matrix(table)
+        phi = [Fraction(rng.randint(-6, 6), 4) for _ in range(n)]
+
+        def conjugated(a):
+            return Matrix([[a[i, j] + phi[i] - phi[j] for j in range(n)] for i in range(n)])
+
+        extra = [
+            conjugated(hclass_element(e, sigma, coprime_scalar(rng)))
+            for sigma in rng.choices(list(isometry_group(table)), k=4)
+        ]
+        m = conjugated(e)
+        return m, None, m, extra + [Matrix([m.entries[k] for k in rng.sample(range(n), n)])]
+    if kind == "star":
+        m = rng.choice((lowered, s.scale(-rng.randint(1, 3)), s.scale(rng.randint(1, 3))))
+        star = kleene_star(m)
+        return m, None, star.star if star.converges else m, []
+    flat = Matrix([[0] * n for _ in range(n)])
+    return (*rng.choice(((flat, None), (s, flat), (s, lowered))), s, [])
+
+
+def hclass_candidates(rng, m, base):
+    """``m``, scalings of ``base`` over coprime denominators, near misses and
+    permutations of ``base``."""
+    n = base.rows
+    grid = [list(row) for row in base.entries]
+    lam = coprime_scalar(rng)
+    member = base.scale(lam)
+    near = [list(row) for row in member.entries]
+    near[rng.randrange(n)][rng.randrange(n)] += Fraction(rng.choice((1, -1)), rng.choice((5, 7)))
+    s = list(range(n))
+    rng.shuffle(s)
+    t = list(range(n))
+    rng.shuffle(t)
+    shift = [coprime_scalar(rng) for _ in range(n)]
+    return [
+        m,
+        member,
+        Matrix(near),
+        permuted(grid, s, tuple(range(n)), lam),  # rows permuted
+        permuted(grid, s, t, lam),  # both permuted
+        permuted(grid, s, s, lam),  # relabelled
+        Matrix([[x + c for x, c in zip(row, shift)] for row in grid]),  # columns scaled
+    ]
+
+
+def test_hclass_contains_matches_the_span_oracle():
+    """The key test gives the span route's answer or error message on every
+    kind of input, including keys over denominators coprime to the idempotent's."""
+    # ROADMAP item 4's counterexample: Isom(d) is trivial, yet the swap is a member
+    assert hclass_contains(Matrix([[0, -1], [-3, 0]]), Matrix([[-1, 2], [0, -1]])) is True
+    rng = random.Random(605)
+    found = Counter()
+    levels = Counter()
+    for _ in range(25):
+        for kind in ("semimetric", "conjugate", "witness", "coprime", "twisted", "star", "refused"):
+            m, witness, base, extra = oracle_case(rng, kind)
+            if kind == "twisted":
+                levels[validate(from_matrix(m)).level] += 1
+            for x in hclass_candidates(rng, m, base) + extra:
+                expected = outcome(span_in_hclass, m, x, witness)
+                assert outcome(hclass_contains, m, x, witness) == expected
+                found[expected if isinstance(expected, bool) else expected[1]] += 1
+    assert found[True] >= 300 and found[False] >= 300
+    assert levels[DistanceClass.SEMIMETRIC] + levels[DistanceClass.METRIC] >= 5
+    assert levels[DistanceClass.PRE_SEMIMETRIC] >= 5
+    for message in (
+        "witness idempotent has a different column space",
+        "column space is not that of a strongly regular idempotent",
+        "cannot recover an idempotent for the column space; pass one explicitly",
+        "supplied witness is not idempotent",
+    ):
+        assert found[message] >= 10, message
 
 
 def test_hclass_decompose_inverts_hclass_element():
@@ -495,7 +626,7 @@ def test_hclass_decompose_is_a_homomorphism():
 
 
 def test_hclass_contains_checks_a_supplied_witness_on_a_metric():
-    # a supplied witness takes the span route, which checks its column space
+    # a supplied witness is checked to have the columns of m, even on a metric
     with pytest.raises(PreconditionError, match="different column space"):
         hclass_contains(HEX_SYM, HEX_SYM, idempotent=HEX_ASYM)
     assert hclass_contains(HEX_SYM, hclass_element(HEX_SYM, SWAP23, 1), idempotent=HEX_SYM)

@@ -23,7 +23,6 @@ from math import gcd, lcm
 
 import pytest
 
-import maxplus.groups as groups_module
 import maxplus.polytope as polytope_module
 import maxplus.rank as rank_module
 import maxplus.semiring as semiring_module
@@ -64,7 +63,6 @@ from maxplus import (
     zero_diag_regularity,
 )
 from maxplus.cli import main as cli_main
-from maxplus.groups import _span_contains
 from maxplus.matio import serialize_matrix
 from maxplus.polytope import in_span
 from maxplus.svg import render_matrix
@@ -80,6 +78,7 @@ from helpers import (
     brute_permanent,
     brute_validate,
     rand_metric,
+    rand_semimetric,
     series_star,
 )
 
@@ -671,8 +670,7 @@ def test_pairwise_rules_match_span_membership():
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of products, assignments, ``membership`` calls, span projections,
-    alignments of vector sets to one denominator and the span tests ``groups``
-    makes."""
+    alignments of vector sets to one denominator and batched span tests."""
     counts = Counter()
     for module, name in (
         (semiring_module, "mat_mul"),
@@ -680,7 +678,7 @@ def calls(monkeypatch):
         (polytope_module, "membership"),
         (polytope_module, "_project"),
         (polytope_module, "int_vectors"),
-        (groups_module, "in_span"),
+        (polytope_module, "in_span"),
     ):
         def counted(*args, _orig=getattr(module, name), _name=name):
             counts[_name] += 1
@@ -702,14 +700,7 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     assert calls["membership"] == calls["_project"] == 0
     calls.clear()
     assert hclass_contains(m, m)
-    assert not calls  # the metric route reads (sigma, lam) from the ints
-    # the span route: n each for n's columns in m's span, m's columns in n's, the
-    # negated rows and m's negated columns, all extremal as m is strongly regular;
-    # none compares m with itself, and each of the four span tests aligns once
-    assert _span_contains(m, m, None)
-    assert calls["_project"] == 4 * n
-    assert calls["int_vectors"] == calls["in_span"] == 4
-    calls.clear()
+    assert not calls  # the key test reads the columns and rows off the ints
     # one alignment for all n columns, then one projection per representative
     assert extremal_indices(m.column_vectors()) == list(range(n))
     assert (calls["int_vectors"], calls["_project"]) == (1, n)
@@ -727,6 +718,26 @@ def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
     assert not hclass_contains(m, Matrix(outside))
     assert hclass_decompose(m, member) == (Permutation.identity(n), Fraction(5, 3))
     assert not calls  # no in_span, product, assignment, membership or projection
+
+
+def test_hclass_contains_on_a_semimetric_matches_keys_only(calls):
+    n = 16
+    rng = random.Random(217)
+    s = to_matrix(rand_semimetric(rng, n))
+    swapped = [list(row) for row in s.entries]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    calls.clear()
+    # a semimetric matrix is a strongly regular idempotent: no product or assignment
+    assert hclass_contains(s, s.scale(Fraction(5, 3)))
+    assert not hclass_contains(s, Matrix(swapped))
+    assert not calls
+    # a witness costs one product (is_idempotent) and one assignment (is_strongly_regular)
+    t = list(range(n))
+    rng.shuffle(t)
+    m = Matrix([[s[i, t[j]] + Fraction(j, 7) for j in range(n)] for i in range(n)])
+    assert hclass_contains(m, s.scale(-2), idempotent=s)
+    assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+    assert calls["in_span"] == calls["_project"] == calls["int_vectors"] == calls["membership"] == 0
 
 
 def test_cli_interior_tests_the_point_once(calls, tmp_path, capsys):
