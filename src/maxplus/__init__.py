@@ -26,9 +26,7 @@ from .groups import (
     hclass_contains,
     hclass_decompose,
     hclass_element,
-    is_unit,
     isometry_group,
-    unit_decompose,
 )
 from .metric import (
     ClassificationReport,
@@ -68,22 +66,15 @@ from .rank import (
     zero_diag_regularity,
 )
 from .semiring import (
-    NEG_INF,
-    ExtMatrix,
-    ExtScalar,
     Matrix,
-    MinusInf,
     Scalar,
     Vector,
-    ext_scalar,
     mat_mul,
     mat_vec,
     projectivize,
     residuation,
     scalar,
     scale,
-    tadd,
-    tmul,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .matio import (
 )
 from .metric import ClassificationReport, DistanceTable, classify, embed
 from .polytope import extremal_columns, interior_point
-from .semiring import Matrix
 from .svg import render_matrix
 
 __all__ = ["main", "REPORT_SCHEMA"]
@@ -57,19 +56,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite_matrix(path) -> Matrix:
-    mat = load_matrix(path)
-    assert isinstance(mat, Matrix)  # "-inf" entries were rejected by the parser
-    return mat
-
-
 def _distance_table(path) -> DistanceTable:
-    mat = _finite_matrix(path)
-    return DistanceTable(mat.entries)
+    return DistanceTable(load_matrix(path).entries)
 
 
 def _cmd_classify(args) -> int:
-    mat = _finite_matrix(args.file)
+    mat = load_matrix(args.file)
     report = classify(mat)
     if args.json:
         payload = {"n": mat.rows, **report.as_dict()}
@@ -82,7 +74,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    res = kleene_star(_finite_matrix(args.file))
+    res = kleene_star(load_matrix(args.file))
     if not res.converges:
         print(f"diverges (eigenvalue {format_scalar(res.eigenvalue, args.decimal)})")
     else:
@@ -91,7 +83,7 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_eigenvalue(args) -> int:
-    print(format_scalar(eigenvalue(_finite_matrix(args.file)), args.decimal))
+    print(format_scalar(eigenvalue(load_matrix(args.file)), args.decimal))
     return 0
 
 
@@ -109,20 +101,20 @@ def _cmd_isometries(args) -> int:
 
 
 def _cmd_extremals(args) -> int:
-    indices = extremal_columns(_finite_matrix(args.file))
+    indices = extremal_columns(load_matrix(args.file))
     print(" ".join(str(j + 1) for j in indices))
     return 0
 
 
 def _cmd_interior(args) -> int:
-    mat = _finite_matrix(args.file)
+    mat = load_matrix(args.file)
     point = parse_point(args.point)
     print("interior" if interior_point(mat, point) else "boundary")
     return 0
 
 
 def _cmd_hclass(args) -> int:
-    mat = _finite_matrix(args.file)
+    mat = load_matrix(args.file)
     sigma = parse_permutation(args.perm)
     lam = parse_scalar(args.lam, what="lambda")
     element = hclass_element(mat, sigma, lam)
@@ -131,7 +123,7 @@ def _cmd_hclass(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = render_matrix(_finite_matrix(args.file))
+    text = render_matrix(load_matrix(args.file))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 0

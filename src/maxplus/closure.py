@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import ConsistencyError, PreconditionError, ShapeError
+from .errors import ConsistencyError, ShapeError
 from .semiring import Matrix, from_int, from_int_grid, int_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
@@ -30,18 +30,10 @@ def _require_square(a: Matrix):
         raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
 
 
-def _matrix_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
-    """``int_grid`` of a ``Matrix``; an ``ExtMatrix`` is refused even when finite."""
-    grid = int_grid(a, what)
-    if not isinstance(a, Matrix):
-        raise PreconditionError(f"{what} requires a Matrix, not an ExtMatrix")
-    return grid
-
-
-def _square_grid(a: Matrix, what: str) -> tuple[tuple[int, ...], ...]:
-    """:func:`_matrix_grid` of a square matrix."""
+def _square_grid(a: Matrix) -> tuple[tuple[int, ...], ...]:
+    """:func:`int_grid` of a square matrix."""
     _require_square(a)
-    return _matrix_grid(a, what)
+    return int_grid(a)
 
 
 def eigenvalue(a: Matrix) -> Fraction:
@@ -52,8 +44,7 @@ def eigenvalue(a: Matrix) -> Fraction:
     is max_v min_k (walk[n][v] - walk[k][v]) / (n - k).  Means are compared
     by cross-multiplication, and only the answer becomes a ``Fraction``.
     """
-    _require_square(a)
-    grid = int_grid(a, "eigenvalue")
+    grid = _square_grid(a)
     n = a.rows
     cols = list(zip(*grid))
     # walks[k - 1][v] = walk[k][v] for k = 1..n, all finite as the digraph is
@@ -82,8 +73,7 @@ def kleene_star(a: Matrix) -> StarResult:
     cycle has positive weight) followed by joining the zero diagonal.
     Divergence is decided by the exact sign of the eigenvalue.
     """
-    _require_square(a)
-    grid = [list(row) for row in int_grid(a, "kleene_star")]
+    grid = [list(row) for row in _square_grid(a)]
     lam = eigenvalue(a)
     if lam > 0:
         return StarResult(False, None, lam)

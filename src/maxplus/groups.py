@@ -1,4 +1,9 @@
-"""Isometry groups, units of the extended matrix monoid, and maximal subgroups."""
+"""Isometry groups, monomial units, and maximal subgroups.
+
+The matrices here are finitary; -inf enters the paper's semigroup only
+through its units, the monomial matrices S * P.  A unit is held as its
+factors, a :class:`UnitDecomposition`, and never as a matrix.
+"""
 
 from __future__ import annotations
 
@@ -6,27 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .closure import _require_square, _square_grid, is_idempotent, kleene_star
+from .closure import _square_grid, is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .metric import DistanceClass, DistanceTable, _table_level, validate
 from .permutation import Permutation
 from .rank import is_strongly_regular
-from .semiring import (
-    NEG_INF,
-    ExtMatrix,
-    Matrix,
-    from_int_grid,
-    from_int_scalars,
-    int_grid,
-    int_grids,
-    scalar,
-)
+from .semiring import Matrix, from_int_grid, from_int_scalars, int_grid, int_grids, scalar
 
 __all__ = [
     "IsometryGroup",
     "UnitDecomposition",
-    "is_unit",
-    "unit_decompose",
     "isometry_group",
     "commutes_with",
     "hclass_element",
@@ -57,37 +51,17 @@ class IsometryGroup:
 
 @dataclass(frozen=True)
 class UnitDecomposition:
-    """Factorization of a unit as diagonal times permutation matrix."""
+    """A unit of the extended matrix monoid, given as its factors S * P.
+
+    The units are exactly the monomial matrices: one finite entry in each
+    row and each column.  S is the diagonal matrix of ``diagonal`` and P
+    the permutation matrix of ``perm``, with P[perm(i), i] = 0 and -inf
+    elsewhere, so row r of S * P has its finite entry ``diagonal[r]`` in
+    column perm^-1(r).
+    """
 
     diagonal: tuple[Fraction, ...]
     perm: Permutation
-
-
-def _unit_columns(g: ExtMatrix) -> list[int] | None:
-    """Each row's one finite column, or ``None`` when ``g`` is not a unit."""
-    _require_square(g)
-    cols = []
-    for row in g.entries:
-        finite = [j for j, x in enumerate(row) if x is not NEG_INF]
-        if len(finite) != 1:
-            return None
-        cols.append(finite[0])
-    return cols if sorted(cols) == list(range(g.rows)) else None
-
-
-def is_unit(g: ExtMatrix) -> bool:
-    """Exactly one finite entry in every row and every column."""
-    return _unit_columns(g) is not None
-
-
-def unit_decompose(g: ExtMatrix) -> UnitDecomposition:
-    """Write a unit as S * P with S the diagonal of its rows' finite entries."""
-    cols = _unit_columns(g)
-    if cols is None:
-        raise PreconditionError("unit_decompose requires a unit matrix")
-    diagonal = tuple(g[i, j] for i, j in enumerate(cols))
-    # column j's finite entry sits in row sigma(j)
-    return UnitDecomposition(diagonal, Permutation(cols).inverse())
 
 
 def _require_group(found, n: int) -> list[tuple[int, ...]]:
@@ -151,7 +125,7 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     if validate(table).level < DistanceClass.SEMIMETRIC:
         raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
-    d = int_grid(table.values, "isometry_group")
+    d = int_grid(table.values)
     profiles = [
         tuple(sorted((d[i][k], d[k][i]) for k in range(n) if k != i)) for i in range(n)
     ]
@@ -194,11 +168,26 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     return IsometryGroup(tuple([Permutation(p) for p in found]))
 
 
-def commutes_with(g: ExtMatrix, d: ExtMatrix) -> bool:
-    """Exact test of g*d == d*g."""
-    if g.rows != d.rows or g.cols != d.cols or not g.is_square:
-        raise ShapeError("commutes_with requires square matrices of equal size")
-    return (g @ d) == (d @ g)
+def commutes_with(g: UnitDecomposition, d: Matrix) -> bool:
+    """Exact test of G*d == d*G for the unit G = S * P given by ``g``.
+
+    Row r of G*d is row perm^-1(r) of ``d`` shifted by s_r, and column c
+    of d*G is column perm(c) of ``d`` shifted by s_perm(c).  So the two
+    products agree exactly when s_r + d[perm^-1(r), c] equals
+    d[r, perm(c)] + s_perm(c) for all r and c, compared in O(n^2) on ints
+    over one denominator.
+    """
+    n = g.perm.n
+    if not (d.is_square and d.rows == n == len(g.diagonal)):
+        raise ShapeError("commutes_with requires a square matrix of the unit's size")
+    (s,), gd, _ = int_grids(Matrix([g.diagonal]), d)
+    sigma = g.perm.images
+    inv = g.perm.inverse().images
+    return all(
+        s[r] + gd[inv[r]][c] == row[sigma[c]] + s[sigma[c]]
+        for r, row in enumerate(gd)
+        for c in range(n)
+    )
 
 
 def _is_isometry(grid, images) -> bool:
@@ -215,7 +204,7 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``; :func:`hclass_decompose` is its inverse.
     """
     lam = scalar(lam)
-    grid = _square_grid(d, "hclass_element")
+    grid = _square_grid(d)
     if _table_level(d, grid) != DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
@@ -242,11 +231,10 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     """
     if not (e.is_square and n.is_square and e.rows == n.rows):
         raise ShapeError("hclass_decompose requires square matrices of equal size")
-    grid = _square_grid(e, "hclass_decompose")
-    _square_grid(n, "hclass_decompose")
+    grid = int_grid(e)
     if _table_level(e, grid) != DistanceClass.METRIC:
         raise PreconditionError("hclass_decompose requires a metric matrix")
-    ge, gn, den = int_grids(e, n, "hclass_decompose")
+    ge, gn, den = int_grids(e, n)
     images = [col.index(max(col)) for col in zip(*gn)]
     if len(set(images)) != len(images) or not _is_isometry(ge, images):
         return None
@@ -258,9 +246,11 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     return Permutation(images), from_int_scalars((lam,), den)[0]
 
 
+_NO_IDEMPOTENT = "cannot recover an idempotent for the column space; pass one explicitly"
+
+
 def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     if supplied is not None:
-        _square_grid(supplied, "hclass_contains")
         if not is_idempotent(supplied):
             raise PreconditionError("supplied witness is not idempotent")
         return supplied
@@ -269,9 +259,7 @@ def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     star = kleene_star(m)
     if star.converges:
         return star.star
-    raise PreconditionError(
-        "cannot recover an idempotent for the column space; pass one explicitly"
-    )
+    raise PreconditionError(_NO_IDEMPOTENT)
 
 
 def _ray_keys(vectors) -> set[tuple[int, ...]]:
@@ -305,13 +293,12 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
     of e and its rows the rows of e, each shifted by a scalar, in some order.
     Both are decided by comparing sets of :func:`_ray_keys` over one
     denominator per pair, in O(n^2) after the preconditions.  Every matrix
-    must be a finite ``Matrix`` of the same square size.
+    must be square and of the same size.
     """
     given = (m, n) if idempotent is None else (m, n, idempotent)
     if not all(a.is_square and a.rows == m.rows for a in given):
         raise ShapeError("hclass_contains requires square matrices of equal size")
-    grid = _square_grid(m, "hclass_contains")
-    _square_grid(n, "hclass_contains")
+    grid = int_grid(m)
     semimetric = (DistanceClass.SEMIMETRIC, DistanceClass.METRIC)
     if idempotent is None and _table_level(m, grid) in semimetric:
         e = m
@@ -320,8 +307,10 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
         if not is_strongly_regular(e):
             raise PreconditionError("column space is not that of a strongly regular idempotent")
         if e is not m:  # m spans its own column space
-            ge, gm, _ = int_grids(e, m, "hclass_contains")
+            ge, gm, _ = int_grids(e, m)
             if _ray_keys(zip(*ge)) != _ray_keys(zip(*gm)):
+                if idempotent is None:  # e is the star of m: no witness was given
+                    raise PreconditionError(_NO_IDEMPOTENT)
                 raise PreconditionError("witness idempotent has a different column space")
-    ge, gn, _ = int_grids(e, n, "hclass_contains")
+    ge, gn, _ = int_grids(e, n)
     return _ray_keys(zip(*ge)) == _ray_keys(zip(*gn)) and _ray_keys(ge) == _ray_keys(gn)

@@ -7,8 +7,9 @@ A matrix file is::
     <row of whitespace-separated entries>
     ...
 
-Entries are decimals ("-1.5"), ratios ("-3/2") or integers; "-inf" is
-accepted only when parsing in extended mode.  Serialization is canonical
+Entries are decimals ("-1.5"), ratios ("-3/2") or integers.  Every entry
+is finite: "-inf", like "inf" and "nan", is a bad entry, because the
+package's one matrix type is finitary.  Serialization is canonical
 (lowest-terms ratios, integers without a denominator), so parsing a
 serialized matrix reproduces it byte for byte.
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .errors import MatrixParseError
 from .permutation import Permutation
-from .semiring import NEG_INF, ExtMatrix, Matrix, Vector
+from .semiring import Matrix, Vector
 
 __all__ = [
     "HEADER",
@@ -51,8 +52,6 @@ MAX_ENTRY_BITS = 128
 
 def format_scalar(x, decimal: bool = False) -> str:
     """Canonical rendering: "p/q" or "p"; float rendering behind ``decimal``."""
-    if x is NEG_INF:
-        return "-inf"
     if decimal and x.denominator != 1:
         return repr(float(x))
     return str(x)
@@ -86,16 +85,8 @@ def parse_scalar(token: str, line=None, what: str = "value") -> Fraction:
     return value
 
 
-def _parse_entry(token: str, extended: bool, lineno: int):
-    if token == "-inf":
-        if not extended:
-            raise MatrixParseError('"-inf" entries need extended mode', lineno)
-        return NEG_INF
-    return parse_scalar(token, lineno, "entry")
-
-
-def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
-    """Parse matrix text; returns a finite ``Matrix`` whenever possible.
+def parse_matrix(text: str) -> Matrix:
+    """Parse matrix text into a ``Matrix``.
 
     Raises ``MatrixParseError`` carrying the offending 1-based line number.
     """
@@ -131,26 +122,24 @@ def parse_matrix(text: str, *, extended: bool = False) -> ExtMatrix:
         tokens = line.split()
         if len(tokens) != m:
             raise MatrixParseError(f"expected {m} entries, found {len(tokens)}", lineno)
-        grid.append([_parse_entry(t, extended, lineno) for t in tokens])
-    if any(e is NEG_INF for row in grid for e in row):
-        return ExtMatrix(grid)
+        grid.append([parse_scalar(t, lineno, "entry") for t in tokens])
     return Matrix(grid)
 
 
-def serialize_matrix(mat: ExtMatrix, decimal: bool = False) -> str:
+def serialize_matrix(mat: Matrix, decimal: bool = False) -> str:
     lines = [HEADER, f"{mat.rows} {mat.cols}"]
     for row in mat.entries:
         lines.append(" ".join(format_scalar(e, decimal) for e in row))
     return "\n".join(lines) + "\n"
 
 
-def load_matrix(path, *, extended: bool = False) -> ExtMatrix:
+def load_matrix(path) -> Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse_matrix(text, extended=extended)
+    return parse_matrix(text)
 
 
 def parse_point(text: str) -> Vector:

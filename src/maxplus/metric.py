@@ -59,7 +59,7 @@ class ValidationResult:
 class DistanceTable:
     """A function d on pairs of [n] with exact rational values and zero diagonal.
 
-    The values are held as a finite ``Matrix``, so the kernels run on its
+    The values are held as a ``Matrix``, so the kernels run on its
     integer view; ``d`` and ``entries`` give ``Fraction``s.
     """
 
@@ -69,7 +69,7 @@ class DistanceTable:
         values = Matrix(rows)
         if not values.is_square:
             raise ShapeError("a distance table must be square and non-empty")
-        grid = int_grid(values, "DistanceTable")
+        grid = int_grid(values)
         for i in range(values.rows):
             if grid[i][i] != 0:
                 raise PreconditionError(f"self-distance of point {i + 1} is {values[i, i]}, not 0")
@@ -118,7 +118,7 @@ def validate(table: DistanceTable) -> ValidationResult:
     then symmetry; the witness is the first violating triple or pair in
     row-major order.
     """
-    d = int_grid(table.values, "validate")
+    d = int_grid(table.values)
     cols = list(zip(*d))
     for i, row in enumerate(d):
         for j, col in enumerate(cols):
@@ -155,7 +155,7 @@ def to_matrix(table: DistanceTable) -> Matrix:
 
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
-    grid = _square_grid(d, "from_matrix")
+    grid = _square_grid(d)
     if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
     return DistanceTable._wrap(-d)
@@ -192,7 +192,7 @@ def classify(a: Matrix) -> ClassificationReport:
     All flags are computed independently; the characterizations are provably
     equivalent, so any disagreement raises ``ConsistencyError``.
     """
-    grid = _square_grid(a, "classify")
+    grid = _square_grid(a)
     idem = is_idempotent(a)
     zero_diag = all(row[i] == 0 for i, row in enumerate(grid))
     star = kleene_star(a)
@@ -288,7 +288,7 @@ def residuation_bound_check(e: Matrix) -> bool:
     zero-diagonal idempotents.  These always hold, so a violation is a
     fatal consistency error.
     """
-    grid = _square_grid(e, "residuation_bound_check")
+    grid = _square_grid(e)
     if not is_idempotent(e):
         raise PreconditionError("residuation_bound_check requires an idempotent matrix")
     cols = list(zip(*grid))

@@ -1,21 +1,31 @@
-"""Permutations of {0, ..., n-1} and their tropical matrices."""
+"""Permutations of {0, ..., n-1}.
+
+A permutation sigma stands for its tropical permutation matrix P, with
+P[sigma(i), i] = 0 and -inf elsewhere; that matrix is never built (see
+``groups.UnitDecomposition``).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .semiring import NEG_INF, ExtMatrix
+from operator import index
 
 __all__ = ["Permutation"]
 
 
 class Permutation:
-    """A bijection of {0, ..., n-1}, stored as the tuple of images."""
+    """A bijection of {0, ..., n-1}, stored as the tuple of images.
+
+    Each image must be an integer (``operator.index``), and not a bool, as
+    for :func:`~maxplus.semiring.scalar`; anything else raises ``TypeError``.
+    """
 
     __slots__ = ("_images",)
 
     def __init__(self, images):
-        imgs = tuple(int(i) for i in images)
+        imgs = list(images)
+        if bool in map(type, imgs):
+            raise TypeError("permutation images must be ints, not bool")
+        imgs = tuple([index(i) for i in imgs])
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs}")
         self._images = imgs
@@ -63,15 +73,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self._images))
-
-    def matrix(self) -> ExtMatrix:
-        """The tropical permutation matrix P with P[sigma(i), i] = 0."""
-        n = self.n
-        zero = Fraction(0)
-        grid = [[NEG_INF] * n for _ in range(n)]
-        for i, img in enumerate(self._images):
-            grid[img][i] = zero
-        return ExtMatrix(grid)
 
     def cycle_notation(self) -> str:
         """1-based cycle string, e.g. "(2 3)"; the identity prints as "id"."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .closure import _matrix_grid, _require_square, _square_grid, is_idempotent
+from .closure import _require_square, is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .rank import column_classes, is_strongly_regular
 from .semiring import (
@@ -107,15 +107,13 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     some coordinate of ``x`` alone.
 
     One span test decides both membership and the answer.  The checks run
-    in this order, and the first that fails raises: ``e`` is a ``Matrix``
-    (``PreconditionError``), ``x`` has ``e.rows`` entries (``ShapeError``),
-    ``x`` is in the column space (``PreconditionError``), ``e`` is square
-    (``ShapeError``), and ``e`` is a strongly regular idempotent
-    (``PreconditionError``).  So a point outside the column space of a
+    in this order, and the first that fails raises: ``x`` has ``e.rows``
+    entries (``ShapeError``), ``x`` is in the column space
+    (``PreconditionError``), ``e`` is square (``ShapeError``), and ``e`` is
+    a strongly regular idempotent (``PreconditionError``).  So a point outside the column space of a
     matrix that is also not square, or not an idempotent, is reported as
     outside the column space.
     """
-    _matrix_grid(e, "interior_point")
     interior = interior_test(e, x)
     if interior is None:
         raise PreconditionError("point is not in the column space")
@@ -181,7 +179,6 @@ def extremal_columns(e: Matrix) -> list[int]:
 
 def duality_map(a: Matrix, x: Vector) -> Vector:
     """Send a row-space point to the column space: x -> a * (-x)."""
-    _matrix_grid(a, "duality_map")
     if not in_span(a.row_vectors(), x):
         raise PreconditionError("point is not in the row space")
     return mat_vec(a, -x)
@@ -196,7 +193,6 @@ def negation_closed(e: Matrix) -> bool:
     columns are extremal (Develin, Santos & Sturmfels, "On the rank of a
     tropical matrix", 2005).
     """
-    _square_grid(e, "negation_closed")
     _require_strongly_regular_idempotent(e, "negation_closed")
     symmetric = e == e.transpose()
     cols = e.column_vectors()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import _require_square, is_idempotent
+from .closure import _square_grid, is_idempotent
 from .errors import ConsistencyError, PreconditionError
 from .permutation import Permutation
 from .semiring import Matrix, from_int, int_grid, scalar
@@ -121,8 +121,7 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
 
 def permanent(a: Matrix) -> PermanentResult:
     """Tropical permanent with an optimal permutation and a uniqueness flag."""
-    _require_square(a)
-    weights = int_grid(a, "permanent")
+    weights = _square_grid(a)
     cost = [[-e for e in row] for row in weights]
     images, u, v = _max_assignment(cost)
     value = from_int(a, sum(weights[i][images[i]] for i in range(a.rows)))
@@ -147,7 +146,7 @@ def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], l
     """
     if not is_idempotent(e):
         raise PreconditionError(f"{what} requires an idempotent matrix")
-    grid = int_grid(e, what)
+    grid = int_grid(e)
     classes: list[list[int]] = []
     for j, row in enumerate(grid):
         if row[j] != 0:

@@ -1,21 +1,22 @@
 """Exact arithmetic in the max-plus semiring and its matrix algebra.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  The
-finite semiring has the reals with ``a + b := max(a, b)`` and
-``a * b := a + b``; the extended semiring adds ``NEG_INF``, neutral for the
-join and absorbing for the product.  ``Matrix`` holds finite entries only,
-``ExtMatrix`` also admits ``NEG_INF``.  Every value is immutable and every
-operation returns a fresh value, so everything here is safe to share
-between threads.
+semiring has the rationals with ``a + b := max(a, b)`` and
+``a * b := a + b``; it is finitary, with no -inf.  ``Vector`` and
+``Matrix`` are its one vector and one matrix type.  The units of the
+extended monoid, monomial matrices, are held as their factors (see
+``groups.UnitDecomposition``), not as matrices.  Every value is immutable
+and every operation returns a fresh value, so everything here is safe to
+share between threads.
 
 Integer view.  Max-plus operations commute with positive scaling, so the
 kernels run on plain ints.  Every matrix and every vector has an integer
-view: its entries times one positive common denominator D, with
-``NEG_INF`` stored as ``None``.  A value built from ``Fraction``s gets the
-least such D.  A kernel result keeps the D it was computed over, which
-divides the lcm of the denominators of its inputs but need not be least:
-reducing it would take a gcd over every entry, which dominated the cost
-when many large denominators are coprime.  So equal values may have views
+view: its entries times one positive common denominator D.  A value
+built from ``Fraction``s gets the least such D.  A kernel result keeps
+the D it was computed over, which divides the lcm of the denominators of
+its inputs but need not be least: reducing it would take a gcd over
+every entry, which dominated the cost when many large denominators are
+coprime.  So equal values may have views
 over different Ds.  Equality compares views directly when the two Ds are
 equal, which covers ``a @ a == a``, a star against its input and a
 transpose, and otherwise by cross-multiplication, x * D_b == y * D_a.
@@ -24,17 +25,16 @@ terms.  A matrix or vector keeps whichever of its two forms it was built
 from and computes the other once, on first use, into a slot; two threads
 racing on that computation store equal values.  The rows and columns of a
 matrix are vectors built from its view, and ``scale``, ``residuation``,
-``mat_vec`` and the vector order and lattice operations run on views;
-``tadd`` and ``tmul`` are scalar conveniences that no kernel uses.
+``mat_vec`` and the vector order and lattice operations run on views.
 
 Only this module knows the format.  The closure and rank kernels run on
-:func:`int_grid`, a finite matrix times its D, and hand their results
-back through :func:`from_int_grid` and :func:`from_int`.  Span membership
+:func:`int_grid`, a matrix times its D, and hand their results back
+through :func:`from_int_grid` and :func:`from_int`.  Span membership
 runs on :func:`int_vectors`, generators and point over one D, and the
 H-class decomposition on :func:`int_grids`, two matrices over one D; both
 hand back through :func:`from_int_vector` and :func:`from_int_scalars`.  A
-``DistanceTable`` (in ``metric``) wraps the finite matrix of its values,
-so tables reach the same kernels through :func:`int_grid`.  A
+``DistanceTable`` (in ``metric``) wraps the matrix of its values, so
+tables reach the same kernels through :func:`int_grid`.  A
 ``Fraction`` is made only for an answer, or for ``entries`` when a caller
 asks.
 
@@ -48,24 +48,16 @@ collections are rare, and those free lists held about a megabyte.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import lcm
 from operator import add, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
 
 __all__ = [
-    "NEG_INF",
-    "MinusInf",
     "Scalar",
-    "ExtScalar",
     "scalar",
-    "ext_scalar",
-    "tadd",
-    "tmul",
     "Vector",
-    "ExtMatrix",
     "Matrix",
     "scale",
     "residuation",
@@ -75,36 +67,7 @@ __all__ = [
 ]
 
 
-@total_ordering
-class MinusInf:
-    """The bottom element.  Compares below every rational; use ``NEG_INF``."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "-inf"
-
-    def __lt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (Fraction, int)):
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash("maxplus.NEG_INF")
-
-
-NEG_INF = MinusInf()
-
 Scalar = Fraction
-ExtScalar = Union[Fraction, MinusInf]
 
 
 def scalar(value) -> Fraction:
@@ -126,31 +89,6 @@ def scalar(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse scalar {value!r}") from exc
     raise TypeError(f"scalar requires int, str or Fraction, not {type(value).__name__}")
-
-
-def ext_scalar(value) -> ExtScalar:
-    """Like :func:`scalar` but also accepts ``NEG_INF`` / the string "-inf"."""
-    if value is NEG_INF or isinstance(value, MinusInf):
-        return NEG_INF
-    if isinstance(value, str) and value.strip() == "-inf":
-        return NEG_INF
-    return scalar(value)
-
-
-def tadd(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    """Semiring join: max under the extended order, with NEG_INF neutral."""
-    if a is NEG_INF:
-        return b
-    if b is NEG_INF:
-        return a
-    return a if a >= b else b
-
-
-def tmul(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    """Semiring product: classical addition, with NEG_INF absorbing."""
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    return a + b
 
 
 class Vector:
@@ -246,11 +184,9 @@ class Vector:
 def _same_entries(a, da, b, db) -> bool:
     """Whether ints ``a`` over ``da`` and ``b`` over ``db`` are equal values.
 
-    Compared by cross-multiplication; ``None`` (for -inf) equals only ``None``.
+    Compared by cross-multiplication.
     """
-    return len(a) == len(b) and all(
-        y is None if x is None else y is not None and x * db == y * da for x, y in zip(a, b)
-    )
+    return len(a) == len(b) and all(x * db == y * da for x, y in zip(a, b))
 
 
 def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
@@ -306,30 +242,26 @@ def projectivize(x: Vector) -> tuple[Fraction, ...]:
     return tuple([Fraction(e - last, den) for e in ints[:-1]])
 
 
-def _build_grid(rows, coerce):
-    grid = tuple([tuple([coerce(e) for e in row]) for row in rows])
-    if not grid or not grid[0]:
-        raise ShapeError("a matrix needs at least one row and one column")
-    width = len(grid[0])
-    if any(len(row) != width for row in grid):
-        raise ShapeError("matrix rows must all have the same length")
-    return grid
-
-
-class ExtMatrix:
-    """A rectangular matrix over the extended semiring (entries may be NEG_INF)."""
+class Matrix:
+    """A rectangular matrix of exact rationals (the workhorse of the package)."""
 
     # _grid: Fraction rows; _ints: the integer view (rows, D).  At least one
     # is set, and each is computed from the other once, on first use.
     __slots__ = ("_grid", "_ints")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self._grid = _build_grid(rows, ext_scalar)
+        grid = tuple([tuple([scalar(e) for e in row]) for row in rows])
+        if not grid or not grid[0]:
+            raise ShapeError("a matrix needs at least one row and one column")
+        width = len(grid[0])
+        if any(len(row) != width for row in grid):
+            raise ShapeError("matrix rows must all have the same length")
+        self._grid = grid
         self._ints = None
 
     @classmethod
-    def _from_ints(cls, num, den: int):
-        """Wrap a rectangular grid of ints and None over ``den`` > 0."""
+    def _from_ints(cls, num, den: int) -> "Matrix":
+        """Wrap a rectangular grid of ints over ``den`` > 0."""
         self = object.__new__(cls)
         self._grid = None
         self._ints = tuple([tuple(row) for row in num]), den
@@ -338,26 +270,12 @@ class ExtMatrix:
     def _int_view(self):
         if self._ints is None:
             grid = self._grid
-            den = lcm(*[e.denominator for row in grid for e in row if e is not NEG_INF])
+            den = lcm(*[e.denominator for row in grid for e in row])
             self._ints = (
-                tuple([
-                    tuple([None if e is NEG_INF else e.numerator * (den // e.denominator) for e in row])
-                    for row in grid
-                ]),
+                tuple([tuple([e.numerator * (den // e.denominator) for e in row]) for row in grid]),
                 den,
             )
         return self._ints
-
-    @classmethod
-    def identity(cls, n: int) -> "ExtMatrix":
-        """Zero diagonal, NEG_INF off the diagonal: the multiplicative neutral."""
-        return cls([[0 if i == j else NEG_INF for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "ExtMatrix":
-        vals = [scalar(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else NEG_INF for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -368,24 +286,22 @@ class ExtMatrix:
         return len((self._grid or self._ints[0])[0])
 
     @property
-    def entries(self) -> tuple[tuple[ExtScalar, ...], ...]:
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._grid is None:
             num, den = self._ints
-            self._grid = tuple([
-                tuple([NEG_INF if e is None else Fraction(e, den) for e in row]) for row in num
-            ])
+            self._grid = tuple([tuple([Fraction(e, den) for e in row]) for row in num])
         return self._grid
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, ij) -> ExtScalar:
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
 
     def __eq__(self, other):
-        if not isinstance(other, ExtMatrix):
+        if not isinstance(other, Matrix):
             return NotImplemented
         (a, da), (b, db) = self._int_view(), other._int_view()
         if da == db:
@@ -397,43 +313,29 @@ class ExtMatrix:
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
-        return f"{type(self).__name__}({self.rows}x{self.cols}: {body})"
+        return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def transpose(self):
+    def transpose(self) -> "Matrix":
         num, den = self._int_view()
-        return type(self)._from_ints(list(zip(*num)), den)
+        return Matrix._from_ints(list(zip(*num)), den)
 
-    def oplus(self, other: "ExtMatrix"):
+    def oplus(self, other: "Matrix") -> "Matrix":
+        """Entrywise max (the semiring addition)."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("matrix shapes differ")
-        a, b, den = _common(self, other)
-        grid = [
-            [x if y is None or (x is not None and x >= y) else y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(a, b)
-        ]
-        return _tightest(grid, den)
+        a, b, den = int_grids(self, other)
+        return Matrix._from_ints([list(map(max, r1, r2)) for r1, r2 in zip(a, b)], den)
 
-    def scale(self, lam):
-        """Add ``lam`` to every finite entry."""
+    def scale(self, lam) -> "Matrix":
+        """Add ``lam`` to every entry."""
         num, den = self._int_view()
         factor, shift, common = _shift(den, scalar(lam))
-        grid = [[None if e is None else e * factor + shift for e in row] for row in num]
-        return type(self)._from_ints(grid, common)
+        return Matrix._from_ints([[e * factor + shift for e in row] for row in num], common)
 
     def __matmul__(self, other):
-        if not isinstance(other, ExtMatrix):
+        if not isinstance(other, Matrix):
             return NotImplemented
         return mat_mul(self, other)
-
-
-class Matrix(ExtMatrix):
-    """A matrix with all entries finite (the workhorse of the package)."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: Iterable[Iterable]):
-        self._grid = _build_grid(rows, scalar)
-        self._ints = None
 
     def row(self, i: int) -> Vector:
         num, den = self._int_view()
@@ -456,61 +358,43 @@ class Matrix(ExtMatrix):
         return Matrix._from_ints([[-e for e in row] for row in num], den)
 
 
-def _tightest(num, den) -> ExtMatrix:
-    """Wrap a computed integer grid as a Matrix when finite, ExtMatrix otherwise."""
-    cls = ExtMatrix if any(None in row for row in num) else Matrix
-    return cls._from_ints(num, den)
-
-
 def _rescale(num, factor):
     if factor == 1:
         return num
-    return [[None if e is None else e * factor for e in row] for row in num]
-
-
-def _common(a: ExtMatrix, b: ExtMatrix):
-    """The integer views of ``a`` and ``b`` over their common denominator."""
-    (na, da), (nb, db) = a._int_view(), b._int_view()
-    den = lcm(da, db)
-    return _rescale(na, den // da), _rescale(nb, den // db), den
+    return [[e * factor for e in row] for row in num]
 
 
 # Package-internal: the closure and rank kernels run on these, so that only
 # this module knows the integer view.
 
 
-def int_grid(a: ExtMatrix, what: str) -> tuple[tuple[int, ...], ...]:
+def int_grid(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """The entries of ``a`` times its common denominator, as ints.
 
     Max, + and comparison commute with positive scaling, so a max-plus
     kernel may run on this grid and return its results through
     :func:`from_int_grid` and :func:`from_int`, given the same ``a``.
-    Raises ``PreconditionError``, naming ``what``, if an entry is -inf.
     """
-    num = a._int_view()[0]
-    if any(None in row for row in num):
-        raise PreconditionError(f"{what} requires finite entries")
-    return num
+    return a._int_view()[0]
 
 
-def int_grids(a: ExtMatrix, b: ExtMatrix, what: str):
+def int_grids(a: Matrix, b: Matrix):
     """The entries of ``a`` and ``b`` times one common denominator D, as ints.
 
     Returns the two grids and D; a kernel returns its scalars through
-    :func:`from_int_scalars`, given the same D.  Raises
-    ``PreconditionError``, naming ``what``, if an entry is -inf.
+    :func:`from_int_scalars`, given the same D.
     """
-    int_grid(a, what)
-    int_grid(b, what)
-    return _common(a, b)
+    (na, da), (nb, db) = a._int_view(), b._int_view()
+    den = lcm(da, db)
+    return _rescale(na, den // da), _rescale(nb, den // db), den
 
 
-def from_int_grid(a: ExtMatrix, grid) -> Matrix:
-    """The finite matrix whose integer grid, on the scale of ``a``, is ``grid``."""
+def from_int_grid(a: Matrix, grid) -> Matrix:
+    """The matrix whose integer grid, on the scale of ``a``, is ``grid``."""
     return Matrix._from_ints(grid, a._int_view()[1])
 
 
-def from_int(a: ExtMatrix, value: int, divisor: int = 1) -> Fraction:
+def from_int(a: Matrix, value: int, divisor: int = 1) -> Fraction:
     """The rational ``value / divisor``, given on the scale of ``a``."""
     return Fraction(value, divisor * a._int_view()[1])
 
@@ -528,26 +412,17 @@ def from_int_scalars(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(v, den) for v in values])
 
 
-def mat_mul(a: ExtMatrix, b: ExtMatrix) -> ExtMatrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Tropical matrix product: entry (i,j) is max over l of a[i,l] + b[l,j]."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    an, bn, den = _common(a, b)
+    an, bn, den = int_grids(a, b)
     cols = list(zip(*bn))
-    if isinstance(a, Matrix) and isinstance(b, Matrix):  # finite: no -inf test per term
-        return Matrix._from_ints([[max(map(add, row, col)) for col in cols] for row in an], den)
-    grid = [
-        [
-            max((x + y for x, y in zip(row, col) if x is not None and y is not None), default=None)
-            for col in cols
-        ]
-        for row in an
-    ]
-    return _tightest(grid, den)
+    return Matrix._from_ints([[max(map(add, row, col)) for col in cols] for row in an], den)
 
 
-def mat_vec(a: ExtMatrix, x: Vector) -> Vector:
-    """Apply ``a`` to a finite column vector; the result must stay finite.
+def mat_vec(a: Matrix, x: Vector) -> Vector:
+    """Apply ``a`` to a column vector.
 
     The product of ``a`` and ``x`` as a one-column matrix, by :func:`mat_mul`,
     over the lcm of their denominators.
@@ -556,7 +431,4 @@ def mat_vec(a: ExtMatrix, x: Vector) -> Vector:
         raise ShapeError(f"cannot apply {a.rows}x{a.cols} to a vector of length {len(x)}")
     ints, den = x._int_view()
     num, den = mat_mul(a, Matrix._from_ints([[v] for v in ints], den))._int_view()
-    out = [row[0] for row in num]
-    if None in out:
-        raise PreconditionError("matrix row is identically -inf; result leaves finite space")
-    return Vector._from_ints(out, den)
+    return Vector._from_ints([row[0] for row in num], den)

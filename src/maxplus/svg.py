@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closure import _matrix_grid, _require_square, is_idempotent
+from .closure import _require_square, is_idempotent
 from .errors import PreconditionError
 from .polytope import vertices_2d
 from .rank import is_strongly_regular
@@ -166,8 +166,6 @@ def render_matrix(e: Matrix) -> str:
         raise PreconditionError("render supports n <= 3")
     if e.rows == 1:
         raise PreconditionError("render needs a 2x2 or 3x3 matrix")
-    # after the size checks, so that a large file is refused before its integer view is built
-    _matrix_grid(e, "render_matrix")
     if e.rows == 2:
         return _render_band(e)
     if not is_idempotent(e) or not is_strongly_regular(e):

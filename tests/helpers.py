@@ -4,9 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from maxplus import (
-    NEG_INF,
     DistanceTable,
-    ExtMatrix,
     Matrix,
     Vector,
     eigenvalue,
@@ -112,19 +110,46 @@ def rand_outside(rng, e):
 
 
 def brute_mat_mul(a, b):
-    """Tropical product as a grid, by the naive triple loop over Fraction entries."""
+    """Tropical product as a grid, by the naive triple loop over Fraction entries.
+
+    ``a`` and ``b`` are matrices or grids.  A grid may hold ``None`` for
+    -inf, which the package has no value for, so that the monomial units
+    of :func:`unit_grid` can be multiplied too.
+    """
+    a, b = getattr(a, "entries", a), getattr(b, "entries", b)
     grid = []
-    for i in range(a.rows):
+    for row_a in a:
         row = []
-        for j in range(b.cols):
-            best = NEG_INF
-            for k in range(a.cols):
-                x, y = a[i, k], b[k, j]
-                if x is not NEG_INF and y is not NEG_INF and (best is NEG_INF or x + y > best):
+        for j in range(len(b[0])):
+            best = None
+            for x, row_b in zip(row_a, b):
+                y = row_b[j]
+                if x is not None and y is not None and (best is None or x + y > best):
                     best = x + y
             row.append(best)
         grid.append(row)
     return grid
+
+
+def unit_grid(diagonal, images):
+    """The monomial unit S * P as a grid, with ``None`` for -inf.
+
+    S is the diagonal matrix of ``diagonal`` and P the permutation matrix
+    with P[images[i], i] = 0, so column c holds diagonal[images[c]] in row
+    images[c].
+    """
+    n = len(images)
+    grid = [[None] * n for _ in range(n)]
+    for c, r in enumerate(images):
+        grid[r][c] = Fraction(diagonal[r])
+    return grid
+
+
+def brute_commutes(diagonal, images, d):
+    """Whether the unit S * P of :func:`unit_grid` commutes with ``d``, by two
+    triple-loop products."""
+    g = unit_grid(diagonal, images)
+    return brute_mat_mul(g, d) == brute_mat_mul(d, g)
 
 
 def brute_membership(generators, x):
@@ -174,7 +199,7 @@ def brute_in_hclass(m, n):
 
 def span_in_hclass(m, n, idempotent=None):
     """``hclass_contains(m, n, idempotent)`` by mutual span membership, for
-    finite ``Matrix`` inputs of one size.
+    square inputs of one size.
 
     The idempotent e is resolved and checked as ``hclass_contains`` does;
     then ``m`` and e must span each other's columns, and the answer is
@@ -192,6 +217,10 @@ def span_in_hclass(m, n, idempotent=None):
     if e is not m:  # m spans its own column space
         cols_e = e.column_vectors()
         if not (in_span(cols_m, *cols_e) and in_span(cols_e, *cols_m)):
+            if idempotent is None:  # e is the star of m: no witness was given
+                raise PreconditionError(
+                    "cannot recover an idempotent for the column space; pass one explicitly"
+                )
             raise PreconditionError("witness idempotent has a different column space")
 
     cols_n = n.column_vectors()
@@ -251,16 +280,13 @@ def series_star(a):
     Powers come from :func:`brute_mat_mul`, so no package kernel is involved.
     """
     n = a.rows
-    acc = [[Fraction(0) if i == j else NEG_INF for j in range(n)] for i in range(n)]
-    power = ExtMatrix(acc)
-    for _ in range(n):
-        power = ExtMatrix(brute_mat_mul(power, a))
-        for i in range(n):
-            for j in range(n):
-                x = power[i, j]
-                if x is not NEG_INF and (acc[i][j] is NEG_INF or x > acc[i][j]):
-                    acc[i][j] = x
-    return ExtMatrix(acc)
+    power = acc = [list(row) for row in a.entries]
+    for _ in range(n - 1):
+        power = brute_mat_mul(power, a)
+        acc = [list(map(max, r, s)) for r, s in zip(acc, power)]
+    for i in range(n):
+        acc[i][i] = max(acc[i][i], Fraction(0))
+    return Matrix(acc)
 
 
 def brute_permanent(a):

@@ -238,7 +238,7 @@ def test_extended_entries_rejected_by_cli(tmp_path, capsys):
     path = tmp_path / "ext.tmat"
     path.write_text("tmat 1\n1 1\n-inf\n")
     assert main(["classify", str(path)]) == 2
-    assert "extended" in capsys.readouterr().err
+    assert capsys.readouterr().err == "maxplus: parse error: line 3: bad entry '-inf'\n"
 
 
 def test_exit_code_consistency_failure(files, capsys, monkeypatch):

@@ -10,24 +10,21 @@ from maxplus import (
     ConsistencyError,
     DistanceClass,
     DistanceTable,
-    ExtMatrix,
     Matrix,
     MaxplusError,
-    NEG_INF,
     Permutation,
     PreconditionError,
     ShapeError,
+    UnitDecomposition,
     commutes_with,
     from_matrix,
     hclass_contains,
     hclass_decompose,
     hclass_element,
-    is_unit,
     isometry_group,
     kleene_star,
     mat_mul,
     to_matrix,
-    unit_decompose,
     validate,
 )
 from maxplus.groups import _require_group
@@ -36,8 +33,10 @@ from helpers import (
     CLAW,
     HEX_ASYM,
     HEX_SYM,
+    brute_commutes,
     brute_generated,
     brute_in_hclass,
+    brute_mat_mul,
     brute_is_group,
     brute_isometries,
     cube_grid,
@@ -49,6 +48,7 @@ from helpers import (
     relabelled,
     span_in_hclass,
     uniform_grid,
+    unit_grid,
 )
 
 SWAP23 = Permutation([0, 2, 1])
@@ -67,34 +67,27 @@ def test_permutation_basics():
         Permutation([0, 0, 1])
 
 
+def test_permutation_images_must_be_ints():
+    # int() used to make [0.9, 1.2] the identity and ["1", "0"] a swap
+    for images in ([0.9, 1.2], ["1", "0"], [True, False], [Fraction(1), Fraction(0)]):
+        with pytest.raises(TypeError):
+            Permutation(images)
+    assert Permutation(range(2)) == Permutation([0, 1])
+
+
 def test_permutation_matrix():
-    p = SWAP23.matrix()
-    assert p[0, 0] == 0 and p[2, 1] == 0 and p[1, 2] == 0
-    assert p[0, 1] is NEG_INF
+    # P[sigma(i), i] = 0 and -inf (None) elsewhere, the convention of UnitDecomposition
+    p = unit_grid((0, 0, 0), SWAP23.images)
+    assert p[0][0] == 0 and p[2][1] == 0 and p[1][2] == 0
+    assert p[0][1] is None
     # left multiplication permutes the rows accordingly
-    assert mat_mul(p, HEX_SYM) == Matrix(
-        [list(HEX_SYM.entries[0]), list(HEX_SYM.entries[2]), list(HEX_SYM.entries[1])]
-    )
-
-
-def test_is_unit_examples():
-    g = ExtMatrix([["-inf", 5], [-2, "-inf"]])
-    assert is_unit(g)
-    dec = unit_decompose(g)
-    assert dec.diagonal == (Fraction(5), Fraction(-2))
-    assert dec.perm == Permutation([1, 0])
-
-    cyc = Permutation([1, 2, 0]).matrix()
-    assert is_unit(cyc)
-    assert unit_decompose(cyc).diagonal == (Fraction(0),) * 3
-    assert unit_decompose(cyc).perm == Permutation([1, 2, 0])
-
-    assert not is_unit(ExtMatrix([[0, 0], ["-inf", 0]]))
-    with pytest.raises(PreconditionError):
-        unit_decompose(ExtMatrix([[0, 0], ["-inf", 0]]))
+    rows = HEX_SYM.entries
+    assert brute_mat_mul(p, HEX_SYM) == [list(rows[0]), list(rows[2]), list(rows[1])]
+    assert commutes_with(UnitDecomposition((0, 0, 0), SWAP23), HEX_SYM)
 
 
 def test_unit_reconstruction():
+    # S times P is the monomial unit whose row r holds s_r in column perm^-1(r)
     rng = random.Random(61)
     for _ in range(15):
         n = rng.randint(1, 5)
@@ -102,12 +95,11 @@ def test_unit_reconstruction():
         rng.shuffle(images)
         sigma = Permutation(images)
         diag = [Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(n)]
-        g = mat_mul(ExtMatrix.diagonal(diag), sigma.matrix())
-        assert is_unit(g)
-        dec = unit_decompose(g)
-        assert dec.diagonal == tuple(diag)
-        assert dec.perm == sigma
-        assert mat_mul(ExtMatrix.diagonal(dec.diagonal), dec.perm.matrix()) == g
+        g = brute_mat_mul(unit_grid(diag, range(n)), unit_grid([0] * n, images))
+        assert g == unit_grid(diag, images)
+        for r, row in enumerate(g):
+            assert [j for j, x in enumerate(row) if x is not None] == [sigma.inverse()(r)]
+            assert row[sigma.inverse()(r)] == diag[r]
 
 
 def test_isometry_group_examples():
@@ -220,14 +212,62 @@ def test_require_group_rejects_any_missing_element(grid):
 
 
 def test_commutes_with_examples():
-    assert commutes_with(SWAP23.matrix(), HEX_SYM)
-    assert not commutes_with(Permutation([1, 0, 2]).matrix(), HEX_SYM)
+    assert commutes_with(UnitDecomposition((0, 0, 0), SWAP23), HEX_SYM)
+    assert not commutes_with(UnitDecomposition((0, 0, 0), Permutation([1, 0, 2])), HEX_SYM)
     rng = random.Random(63)
     d = to_matrix(rand_metric(rng, 4))
-    lam_i = ExtMatrix.identity(4).scale(Fraction(7, 2))
+    lam_i = UnitDecomposition((Fraction(7, 2),) * 4, Permutation.identity(4))
     assert commutes_with(lam_i, d)
-    with pytest.raises(ShapeError):
-        commutes_with(ExtMatrix.identity(2), HEX_SYM)
+    for g, x in (
+        (UnitDecomposition((0, 0), Permutation.identity(2)), HEX_SYM),
+        (UnitDecomposition((0, 0), Permutation.identity(3)), HEX_SYM),
+        (UnitDecomposition((0, 0, 0), SWAP23), Matrix([[0, -1, -1], [-1, 0, -1]])),
+    ):
+        message = "^commutes_with requires a square matrix of the unit's size$"
+        with pytest.raises(ShapeError, match=message):
+            commutes_with(g, x)
+
+
+def test_commutes_with_matches_brute_product():
+    """Units S * P against d(i, j) = m(i, j) + phi_j - phi_i, for tables m
+    with known isometries and phi over coprime denominators.  S * P
+    commutes with d when sigma is an isometry of m and
+    s_r = phi(sigma^-1(r)) - phi(r) + c; phi = 0 gives a scalar diagonal."""
+    rng = random.Random(1212)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        table = DistanceTable(rng.choice((uniform_grid, cycle_grid, directed_cycle_grid))(n))
+        group = isometry_group(table)
+        unit = Fraction(rng.randint(1, 3), rng.choice((5, 7, 11)))
+        twist = rng.random() < 0.6
+        phi = [Fraction(rng.randint(-9, 9), rng.choice((1, 13, 17))) * twist for _ in range(n)]
+        d = Matrix(
+            [[table.d(i, j) * unit + phi[j] - phi[i] for j in range(n)] for i in range(n)]
+        )
+        if rng.random() < 0.6:
+            sigma = rng.choice(group.elements)
+        else:
+            images = list(range(n))
+            rng.shuffle(images)
+            sigma = Permutation(images)
+        inv = sigma.inverse()
+        c = Fraction(rng.randint(-9, 9), rng.choice((1, 19, 23)))
+        diag = [phi[inv(r)] - phi[r] + c for r in range(n)]
+        perturbed = rng.random() < 0.25
+        if perturbed:
+            diag[rng.randrange(n)] += Fraction(1, 29)
+        expected = brute_commutes(diag, sigma.images, d)
+        assert commutes_with(UnitDecomposition(tuple(diag), sigma), d) == expected
+        if sigma in group and not perturbed:
+            assert expected
+        seen[expected, len(set(diag)) == 1, sigma in group] += 1
+    assert sum(v for k, v in seen.items() if k[0]) >= 0.3 * 400
+    # (commutes, scalar diagonal, isometry): commuting units, and non-isometries, of both kinds
+    for scalar_diagonal in (True, False):
+        assert seen[True, scalar_diagonal, True] >= 50
+        assert seen[False, scalar_diagonal, False] >= 10
+    assert seen[False, False, True] >= 20  # an isometry with a perturbed diagonal
 
 
 def test_isometries_are_exactly_commuting_permutations():
@@ -238,7 +278,8 @@ def test_isometries_are_exactly_commuting_permutations():
         group = {p.images for p in isometry_group(table)}
         for images in permutations(range(4)):
             sigma = Permutation(images)
-            assert commutes_with(sigma.matrix(), d) == (images in group)
+            unit = UnitDecomposition((0,) * 4, sigma)
+            assert commutes_with(unit, d) == (images in group)
 
 
 def test_commuting_units_are_scaled_permutations():
@@ -246,12 +287,8 @@ def test_commuting_units_are_scaled_permutations():
     table = from_matrix(HEX_SYM)
     d = HEX_SYM
     for sigma in isometry_group(table):
-        g = sigma.matrix().scale(Fraction(5, 2))
-        assert is_unit(g)
-        assert commutes_with(g, d)
-        dec = unit_decompose(g)
-        assert len(set(dec.diagonal)) == 1
-        lopsided = mat_mul(ExtMatrix.diagonal([0, 0, 1]), sigma.matrix())
+        assert commutes_with(UnitDecomposition((Fraction(5, 2),) * 3, sigma), d)
+        lopsided = UnitDecomposition((0, 0, 1), sigma)
         assert not commutes_with(lopsided, d)
 
 
@@ -267,11 +304,6 @@ def test_hclass_element_errors():
         hclass_element(HEX_SYM, Permutation([1, 0, 2]), 0)
     with pytest.raises(PreconditionError, match="metric"):
         hclass_element(HEX_ASYM, Permutation.identity(3), 0)
-    # a finite ExtMatrix used to leak a TypeError from the negation
-    with pytest.raises(PreconditionError, match="^hclass_element requires a Matrix, not an ExtMatrix$"):
-        hclass_element(ExtMatrix([[0, -1], [-1, 0]]), Permutation.identity(2), 0)
-    with pytest.raises(PreconditionError, match="^hclass_element requires finite entries$"):
-        hclass_element(ExtMatrix([[0, NEG_INF], [-1, 0]]), Permutation.identity(2), 0)
 
 
 def test_hclass_contains_examples():
@@ -343,23 +375,6 @@ def test_hclass_decompose_errors():
         hclass_decompose(HEX_ASYM, HEX_ASYM)
     with pytest.raises(ShapeError):
         hclass_decompose(HEX_SYM, Matrix([[0, -1], [-1, 0]]))
-
-
-@pytest.mark.parametrize("call", [hclass_contains, hclass_decompose], ids=lambda f: f.__name__)
-def test_hclass_refuses_ext_matrices_in_either_position(call):
-    # hclass_contains used to leak AttributeError (no column_vectors on an ExtMatrix)
-    name = call.__name__
-    finite = ExtMatrix(HEX_SYM.entries)
-    with_inf = ExtMatrix([[0, NEG_INF, -1], [-1, 0, -1], [-1, -1, 0]])
-    for e, x in ((HEX_SYM, finite), (finite, HEX_SYM)):
-        with pytest.raises(PreconditionError, match=f"^{name} requires a Matrix, not an ExtMatrix"):
-            call(e, x)
-    for e, x in ((HEX_SYM, with_inf), (with_inf, HEX_SYM)):
-        with pytest.raises(PreconditionError, match=f"^{name} requires finite entries$"):
-            call(e, x)
-    if call is hclass_contains:
-        with pytest.raises(PreconditionError, match="not an ExtMatrix"):
-            hclass_contains(HEX_SYM.scale(1), HEX_SYM, idempotent=finite)
 
 
 def permuted(grid, s, t, lam):
@@ -587,6 +602,8 @@ def test_hclass_contains_matches_the_span_oracle():
             for x in hclass_candidates(rng, m, base) + extra:
                 expected = outcome(span_in_hclass, m, x, witness)
                 assert outcome(hclass_contains, m, x, witness) == expected
+                # a call without a witness never blames one
+                assert witness is not None or "witness" not in str(expected)
                 found[expected if isinstance(expected, bool) else expected[1]] += 1
     assert found[True] >= 300 and found[False] >= 300
     assert levels[DistanceClass.SEMIMETRIC] + levels[DistanceClass.METRIC] >= 5

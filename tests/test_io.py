@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxplus import Matrix, MatrixParseError, NEG_INF, Permutation, Vector
+from maxplus import Matrix, MatrixParseError, Permutation, Vector
 from maxplus.matio import (
     MAX_DIM,
     MAX_ENTRY_BITS,
@@ -44,14 +44,13 @@ def test_parse_decimal_and_ratio_entries():
 
 
 def test_parse_extended():
-    text = "tmat 1\n2 2\n-inf 5\n-2 -inf\n"
-    mat = parse_matrix(text, extended=True)
-    assert mat[0, 0] is NEG_INF
-    assert serialize_matrix(mat) == text
-    with pytest.raises(MatrixParseError, match="extended"):
-        parse_matrix(text)
-    # extended parsing of an all-finite file still yields a finite matrix
-    assert isinstance(parse_matrix("tmat 1\n1 1\n0\n", extended=True), Matrix)
+    # there is no extended mode: "-inf" is a bad entry, like "inf" and "nan"
+    for token in ("-inf", "inf", "nan"):
+        with pytest.raises(MatrixParseError, match=f"^line 4: bad entry '{token}'$") as err:
+            parse_matrix(f"tmat 1\n2 2\n0 5\n-2 {token}\n")
+        assert err.value.line == 4
+    with pytest.raises(TypeError):
+        parse_matrix("tmat 1\n1 1\n0\n", extended=True)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -119,7 +118,6 @@ def test_load_matrix_missing_file(tmp_path):
 def test_format_scalar():
     assert format_scalar(Fraction(-3, 2)) == "-3/2"
     assert format_scalar(Fraction(4)) == "4"
-    assert format_scalar(NEG_INF) == "-inf"
     assert format_scalar(Fraction(-3, 2), decimal=True) == "-1.5"
     assert format_scalar(Fraction(4), decimal=True) == "4"
 

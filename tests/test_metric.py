@@ -6,7 +6,6 @@ import pytest
 from maxplus import (
     DistanceClass,
     DistanceTable,
-    ExtMatrix,
     Matrix,
     PreconditionError,
     ShapeError,
@@ -83,8 +82,6 @@ def test_matrix_conversion_round_trip():
     )
     with pytest.raises(PreconditionError):
         from_matrix(Matrix([[1]]))
-    with pytest.raises(PreconditionError, match="ExtMatrix"):
-        from_matrix(ExtMatrix([[0, 1], [1, 0]]))
 
 
 def test_classify_golden_matrices():
@@ -101,11 +98,6 @@ def test_classify_golden_matrices():
     assert c.is_metric_matrix and c.is_semimetric_matrix and c.symmetric
     assert c.columns_sum_to_zero and c.rows_sum_to_zero
 
-
-def test_classify_refuses_finite_ext_matrix():
-    # used to leak an AttributeError from the interior test
-    with pytest.raises(PreconditionError, match="ExtMatrix"):
-        classify(ExtMatrix([[0, -1], [-1, 0]]))
 
 
 def test_classify_never_raises_on_arbitrary_input():

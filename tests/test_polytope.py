@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from maxplus import (
-    NEG_INF,
-    ExtMatrix,
     Matrix,
     PreconditionError,
     Vector,
@@ -23,9 +21,7 @@ from maxplus import (
     polytrope_vertices_2d,
     project_onto,
     projectivize,
-    residuation_bound_check,
 )
-from maxplus.svg import render_matrix
 
 from helpers import (
     GOLDEN_IDEMPOTENTS,
@@ -134,8 +130,6 @@ def test_interior_point_errors():
         interior_point(Matrix([[0, -1, -2], [0, 0, 0]]), Vector([0, 2]))
     with pytest.raises(ShapeError, match="lengths differ"):
         interior_point(Matrix([[1, 0], [0, 0]]), Vector([0, 0, 0]))
-    with pytest.raises(PreconditionError, match="not an ExtMatrix"):
-        interior_point(ExtMatrix([[0, -1, 0]]), Vector([0, 0]))
 
 
 def test_extremal_columns_examples():
@@ -179,29 +173,6 @@ def test_negation_closed():
     assert negation_closed(Matrix([[0]]))
     with pytest.raises(PreconditionError):
         negation_closed(Matrix([[0, 0], [0, 0]]))
-
-
-ENTRY_POINTS = {
-    "render_matrix": render_matrix,
-    "negation_closed": negation_closed,
-    "interior_point": lambda e: interior_point(e, ORIGIN3),
-    "duality_map": lambda e: duality_map(e, ORIGIN3),
-    "residuation_bound_check": residuation_bound_check,
-}
-
-
-@pytest.mark.parametrize("name", ENTRY_POINTS)
-def test_entry_points_refuse_ext_matrices(name):
-    # each used to leak AttributeError (no column_vectors or row_vectors on an ExtMatrix)
-    call = ENTRY_POINTS[name]
-    assert call(HEX_SYM) is not None
-    with pytest.raises(PreconditionError, match=f"^{name} requires a Matrix, not an ExtMatrix$"):
-        call(ExtMatrix(HEX_SYM.entries))
-    with pytest.raises(PreconditionError, match=f"^{name} requires finite entries$"):
-        call(ExtMatrix([[0, NEG_INF, -1], [-1, 0, -1], [-1, -1, 0]]))
-    if name == "render_matrix":  # a finite 2x2 band rendered before; it is refused too
-        with pytest.raises(PreconditionError, match="not an ExtMatrix"):
-            render_matrix(ExtMatrix([[0, -1], [-2, 0]]))
 
 
 def test_halfspace_rep_golden():
