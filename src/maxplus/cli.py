@@ -33,9 +33,13 @@ from .metric import ClassificationReport, DistanceTable, classify, embed
 from .polytope import extremal_columns, interior_point
 from .svg import render_matrix
 
-__all__ = ["main", "REPORT_SCHEMA"]
+__all__ = ["main", "REPORT_SCHEMA", "LISTING_CAP"]
 
 _REPORT_FIELDS = [f.name for f in fields(ClassificationReport)]
+
+# ``isometries`` lists a group of at most this order (that of the 7-point
+# uniform metric) element by element, and a larger one by its generators.
+LISTING_CAP = 5040
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -95,8 +99,12 @@ def _cmd_embed(args) -> int:
 
 def _cmd_isometries(args) -> int:
     group = isometry_group(_distance_table(args.file))
-    names = ", ".join(p.cycle_notation() for p in group)
-    print(f"order {group.order}: {names}")
+    if group.order > LISTING_CAP:
+        names = ", ".join(p.cycle_notation() for p in group.generators)
+        print(f"order {group.order}, generated by: {names}")
+    else:
+        names = ", ".join(p.cycle_notation() for p in group)
+        print(f"order {group.order}: {names}")
     return 0
 
 

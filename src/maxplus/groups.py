@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import sub
 
 from .closure import _square_grid, is_idempotent, kleene_star
@@ -29,24 +30,71 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IsometryGroup:
-    """All permutations preserving a distance table, closed under the group ops."""
+    """A permutation group: the isometries of a table, or a given listing.
 
-    elements: tuple[Permutation, ...]
+    :func:`isometry_group` gives the group as a stabiliser chain.  G_i is
+    the subgroup fixing 0..i-1, and each base point i whose G_i-orbit is
+    more than {i} has a transversal: a dict sending each j of the orbit to
+    the image tuple of one u_j in G_i with u_j(i) = j.  ``order`` is the
+    product of the orbit lengths and ``sigma in group`` sifts sigma
+    through the transversals; neither lists the group.  ``elements`` and
+    iteration list it in the sorted order of the image tuples on first
+    read, check that the list is a group (:func:`_require_group`) and keep
+    it.  ``IsometryGroup(elements)`` holds a given list as it is,
+    unchecked, and takes it as its generators.
+
+    ``len`` is the order, so like any ``len`` it works only below
+    ``sys.maxsize``; ``order`` is always exact.  A group is never empty.
+    """
+
+    __slots__ = ("generators", "_n", "_levels", "_listing")
+
+    def __init__(self, elements=None, *, n=0, generators=(), levels=None):
+        self._listing = None if elements is None else tuple(elements)
+        self.generators = tuple(generators if elements is None else self._listing)
+        self._n, self._levels = n, levels
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._listing) if self._levels is None else prod(len(u) for _, u in self._levels)
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._listing is None:
+            found = [tuple(range(self._n))]
+            for i, u in self._levels:
+                # h * u_j sends i to h(j): sorting on h(j) keeps the list sorted
+                found = [
+                    tuple([h[x] for x in uj])
+                    for h in found
+                    for _, uj in sorted([(h[j], uj) for j, uj in u.items()])
+                ]
+            _require_group(found, self._n)
+            self._listing = tuple([Permutation(p) for p in found])
+        return self._listing
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, sigma) -> bool:
-        return sigma in self.elements
+        if self._levels is None:
+            return sigma in self._listing
+        if not isinstance(sigma, Permutation) or sigma.n != self._n:
+            return False
+        tau = sigma.inverse().images  # tau * u_j fixes i when sigma(i) = j
+        for i, u in self._levels:
+            j = tau.index(i)
+            if j not in u:
+                return False
+            tau = tuple([tau[x] for x in u[j]])
+        return tau == tuple(range(self._n))
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
+
+    def __bool__(self):
+        return True
 
 
 @dataclass(frozen=True)
@@ -114,58 +162,87 @@ def _require_group(found, n: int) -> list[tuple[int, ...]]:
 
 
 def isometry_group(table: DistanceTable) -> IsometryGroup:
-    """All permutations of the points preserving the (possibly asymmetric) table.
+    """The permutations of the points preserving the (possibly asymmetric) table.
 
-    Backtracking search: point 0 may go to any point with its multiset of
-    in/out distances, and every later point i only to a point at distance
-    (d(0, i), d(i, 0)) from the image of 0 with the multiset of i; each
-    leaf is checked against all earlier points.  The set found is verified
-    to be a group on a generating set (:func:`_require_group`).
+    A stabiliser chain (Schreier-Sims style; Seress, *Permutation Group
+    Algorithms*, 2003) over the base points n-1, ..., 0, each with the
+    subgroup G_i fixing 0..i-1.  When base point i comes up the generators
+    found so far generate G_(i+1), and i may go to each point j of its
+    distance bucket from 0 (from the in/out distance profile class of 0
+    when i = 0).  A j already in the orbit of i under the generators is
+    skipped, and so is a j in the orbit of a j' whose search failed: an
+    isometry in G_i sending i to j would give one sending i to j'.  Any
+    other j gets one backtracking search for an isometry fixing 0..i-1
+    and sending i to j: each later point m goes only to a point at
+    distance (d(0, m), d(m, 0)) from the image of 0 with the profile class
+    of m, checked against all earlier points, so a leaf is a full
+    isometry.  A success is a new generator, and each one merges two
+    orbits, so there are fewer than n generators.  The order is the
+    product of the orbit lengths; the elements are listed on demand.
     """
     if validate(table).level < DistanceClass.SEMIMETRIC:
         raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
-    d = int_grid(table.values)
-    profiles = [
-        tuple(sorted((d[i][k], d[k][i]) for k in range(n) if k != i)) for i in range(n)
-    ]
-    profile_ids: dict = {}
-    cls = [profile_ids.setdefault(p, len(profile_ids)) for p in profiles]
-    first = [j for j in range(n) if cls[j] == cls[0]]
-    # buckets[a][(d(a, j), d(j, a), class of j)] lists those points j in order
-    buckets: list[dict] = [{} for _ in range(n)]
-    for a in range(n):
+    d = list(map(list, int_grid(table.values)))
+    dt = list(map(list, zip(*d)))
+    # each point's sorted (out, in) distance pairs; the diagonal adds (0, 0) to every one
+    profiles: dict = {}
+    cls = [profiles.setdefault(tuple(sorted(zip(d[i], dt[i]))), len(profiles)) for i in range(n)]
+    key = [(d[0][j], d[j][0], cls[j]) for j in range(n)]
+
+    def buckets(a: int) -> dict:
+        """The points j keyed by (d(a, j), d(j, a), class of j), in order."""
+        out: dict = {}
         for j in range(n):
-            buckets[a].setdefault((d[a][j], d[j][a], cls[j]), []).append(j)
+            out.setdefault((d[a][j], d[j][a], cls[j]), []).append(j)
+        return out
 
-    found: list[tuple[int, ...]] = []
-    images = [-1] * n
-    taken = [False] * n
+    home = buckets(0)
+    images = list(range(n))
 
-    def extend(i: int):
-        if i == n:
-            found.append(tuple(images))
-            return
-        candidates = buckets[images[0]].get((d[0][i], d[i][0], cls[i]), ()) if i else first
-        for j in candidates:
-            if taken[j]:
+    def extend(m: int, candidates, bucket: dict) -> bool:
+        """Complete ``images`` from point m on; ``bucket`` is that of images[0].
+
+        x may go to m when it is unused and its distances to and from the
+        images of 0..m-1 are those of m.
+        """
+        pre, row, col = images[:m], d[m][:m], dt[m][:m]
+        used = set(pre)
+        for x in candidates:
+            if x not in used and [d[x][a] for a in pre] == row and [dt[x][a] for a in pre] == col:
+                images[m] = x
+                if m + 1 == n or extend(m + 1, bucket.get(key[m + 1], ()), bucket):
+                    return True
+        return False
+
+    gens: list[tuple[int, ...]] = []
+
+    def close(u: dict) -> dict:
+        """Extend a transversal {j: u_j} of an orbit to the generators' orbit."""
+        queue = list(u)
+        for p in queue:
+            for g in gens:
+                if g[p] not in u:
+                    u[g[p]] = tuple([g[x] for x in u[p]])
+                    queue.append(g[p])
+        return u
+
+    identity = tuple(range(n))
+    levels = []
+    for i in range(n - 1, -1, -1):
+        u = {i: identity}  # the orbit of i under the generators so far
+        unreachable: set = set()
+        for j in home.get(key[i], ()) if i else [j for j in range(n) if cls[j] == cls[0]]:
+            if j < i or j in u or j in unreachable:
                 continue
-            ok = True
-            for k in range(i):
-                if d[images[k]][j] != d[k][i] or d[j][images[k]] != d[i][k]:
-                    ok = False
-                    break
-            if ok:
-                images[i] = j
-                taken[j] = True
-                extend(i + 1)
-                taken[j] = False
-        images[i] = -1
-
-    extend(0)
-    found.sort()
-    _require_group(found, n)
-    return IsometryGroup(tuple([Permutation(p) for p in found]))
+            if extend(i, (j,), buckets(j) if i == 0 else home):
+                gens.append(tuple(images))
+                close(u)
+            else:
+                unreachable.update(close({j: identity}))
+        if len(u) > 1:
+            levels.append((i, u))
+    return IsometryGroup(n=n, generators=map(Permutation, gens), levels=tuple(reversed(levels)))
 
 
 def commutes_with(g: UnitDecomposition, d: Matrix) -> bool:

@@ -17,6 +17,7 @@ from maxplus import (
 from maxplus.errors import PreconditionError
 from maxplus.groups import _resolve_idempotent
 from maxplus.polytope import in_span
+from symmetric_tmat import cube_grid, cycle_grid, pairs_grid, uniform_grid  # noqa: F401
 
 # The three 3x3 golden idempotents: a polytrope with the origin on its
 # boundary, an asymmetric hexagon (a semimetric), and a centrally
@@ -319,18 +320,63 @@ def brute_cycle_mean(a):
     return best
 
 
+def distance_ids(table):
+    """The table with each distinct distance replaced by a small int: exact, and fast to compare."""
+    ids: dict = {}
+    return [[ids.setdefault(x, len(ids)) for x in row] for row in table.entries]
+
+
 def brute_isometries(table):
     """All distance-preserving permutations, as sorted image tuples."""
     n = table.n
+    d = distance_ids(table)
     out = []
     for images in permutations(range(n)):
-        if all(
-            table.d(images[i], images[j]) == table.d(i, j)
-            for i in range(n)
-            for j in range(n)
-        ):
+        if all(d[images[i]][images[j]] == d[i][j] for i in range(n) for j in range(n)):
             out.append(images)
     return sorted(out)
+
+
+def listing_isometries(table):
+    """All isometries by exhaustive backtracking, as sorted image tuples.
+
+    Point 0 may go to any point with its multiset of in/out distances, and
+    every later point i only to a point at distance (d(0, i), d(i, 0))
+    from the image of 0 with the multiset of i; each leaf is checked
+    against all earlier points.  It visits one leaf per element, where
+    ``isometry_group`` runs one search per generator of a stabiliser chain.
+    """
+    n = table.n
+    d = distance_ids(table)
+    profiles = [tuple(sorted((d[i][k], d[k][i]) for k in range(n) if k != i)) for i in range(n)]
+    cls = [profiles.index(p) for p in profiles]
+    first = [j for j in range(n) if cls[j] == cls[0]]
+    # buckets[a][(d(a, j), d(j, a), class of j)] lists those points j in order
+    buckets = [{} for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            buckets[a].setdefault((d[a][j], d[j][a], cls[j]), []).append(j)
+
+    found = []
+    images = [-1] * n
+    taken = [False] * n
+
+    def extend(i):
+        if i == n:
+            found.append(tuple(images))
+            return
+        candidates = buckets[images[0]].get((d[0][i], d[i][0], cls[i]), ()) if i else first
+        for j in candidates:
+            if not taken[j] and all(
+                d[images[k]][j] == d[k][i] and d[j][images[k]] == d[i][k] for k in range(i)
+            ):
+                images[i] = j
+                taken[j] = True
+                extend(i + 1)
+                taken[j] = False
+
+    extend(0)
+    return sorted(found)
 
 
 def compose(p, q):
@@ -373,16 +419,9 @@ def brute_generated(gens, n):
 
 
 # Distance grids with known isometry groups: order n! for the uniform
-# metric U_n, 2n for the cycle C_n, 2^k k! for the cube Q_k, 120 for the
-# Petersen graph, and n for the directed cycle (rotations only).
-
-
-def uniform_grid(n):
-    return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-
-
-def cycle_grid(n):
-    return [[min((i - j) % n, (j - i) % n) for j in range(n)] for i in range(n)]
+# metric U_n, 2n for the cycle C_n, 2^k k! for the cube Q_k and for k
+# disjoint pairs, 120 for the Petersen graph, n for the directed cycle
+# (rotations only) and q(q - 1)/2 for the Paley graph of a prime q.
 
 
 def directed_cycle_grid(n):
@@ -390,14 +429,16 @@ def directed_cycle_grid(n):
     return [[(j - i) % n for j in range(n)] for i in range(n)]
 
 
-def cube_grid(k):
-    return [[bin(i ^ j).count("1") for j in range(2**k)] for i in range(2**k)]
-
-
 def petersen_grid():
     """Graph distance on 2-subsets of {0..4}: 1 if disjoint, 2 otherwise."""
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     return [[0 if p == q else (1 if not set(p) & set(q) else 2) for q in pairs] for p in pairs]
+
+
+def paley_grid(q):
+    """Distance 1 where j - i is a nonzero square mod the prime q = 1 (mod 4), else 2."""
+    squares = {x * x % q for x in range(1, q)}
+    return [[0 if i == j else 1 if (j - i) % q in squares else 2 for j in range(q)] for i in range(q)]
 
 
 def relabelled(rng, grid, factor):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -6,11 +7,11 @@ import jsonschema
 import pytest
 
 from maxplus import Matrix, Permutation, PreconditionError, hclass_element
-from maxplus.cli import REPORT_SCHEMA, main
+from maxplus.cli import LISTING_CAP, REPORT_SCHEMA, main
 from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
 from maxplus.svg import render_matrix
 
-from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE, uniform_grid
+from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE, cycle_grid, uniform_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -96,6 +97,30 @@ def test_isometries_of_seven_point_uniform_metric(tmp_path, capsys):
     assert main(["isometries", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("order 5040: id, ") and out.count(",") == 5039
+
+
+def _isometries_output(tmp_path, capsys, grid) -> str:
+    path = tmp_path / "table.tmat"
+    path.write_text(serialize_matrix(Matrix(grid)))
+    assert main(["isometries", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_isometries_lists_up_to_the_cap(tmp_path, capsys):
+    """U7 (order 5040, the cap) and C128 (order 256) list every element,
+    byte for byte as the exhaustive search printed them."""
+    assert LISTING_CAP == 5040
+    for grid, size, digest in [
+        (uniform_grid(7), 78601, "79eca44e415a38805ff813756477fa7e560a0fbb96651268fbeceba1bfcff7e1"),
+        (cycle_grid(128), 111716, "71cc70ad9ecf19bbf2276bc8fbb3992618ed0472539329f6cb88b78fdc47c252"),
+    ]:
+        out = _isometries_output(tmp_path, capsys, grid).encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def test_isometries_above_the_cap_prints_generators(tmp_path, capsys):
+    out = _isometries_output(tmp_path, capsys, uniform_grid(8))
+    assert out == "order 40320, generated by: (7 8), (6 7), (5 6), (4 5), (3 4), (2 3), (1 2)\n"
 
 
 def test_extremals(files, capsys):

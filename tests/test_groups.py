@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -10,6 +11,7 @@ from maxplus import (
     ConsistencyError,
     DistanceClass,
     DistanceTable,
+    IsometryGroup,
     Matrix,
     MaxplusError,
     Permutation,
@@ -42,6 +44,9 @@ from helpers import (
     cube_grid,
     cycle_grid,
     directed_cycle_grid,
+    listing_isometries,
+    pairs_grid,
+    paley_grid,
     petersen_grid,
     rand_metric,
     rand_semimetric,
@@ -156,6 +161,158 @@ def test_isometry_group_known_orders(grid, order):
     d = table.entries
     for p in images:
         assert all(d[p[i]][p[j]] == d[i][j] for i in range(n) for j in range(n))
+
+
+def graph_grid(rng, n, directed):
+    """Shortest paths of a random graph on a Hamiltonian cycle, arcs of length 1 or 2.
+
+    Undirected, the cycle keeps the graph connected; directed, strongly
+    connected.  Random graphs this small often have automorphisms.
+    """
+    inf = 4 * n
+    g = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    p = rng.choice((0.2, 0.5, 0.8))
+    for i in range(n):
+        for j in range(n):
+            if i != j and (j == (i + 1) % n or rng.random() < p):
+                g[i][j] = rng.choice((1, 1, 2))
+                if not directed:
+                    g[j][i] = g[i][j]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                g[i][j] = min(g[i][j], g[i][k] + g[k][j])
+    return g
+
+
+def twisted(rng, grid):
+    """d(i, j) + phi_j - phi_i for d = 4 * grid: a semimetric, asymmetric when phi is not constant.
+
+    phi takes at most two values, so isometries of d that keep its level
+    sets stay isometries of the twisted table.
+    """
+    n = len(grid)
+    levels = (Fraction(0), Fraction(rng.randint(1, 5), rng.choice((3, 4, 7))))
+    phi = [rng.choice(levels) for _ in range(n)]
+    return DistanceTable([[4 * grid[i][j] + phi[j] - phi[i] for j in range(n)] for i in range(n)])
+
+
+def isometry_oracle_tables(rng):
+    """The tables the isometry tests use, then 240 random ones with n <= 10.
+
+    The random ones are random semimetrics (symmetric or not), graph and
+    digraph metrics, the known families, and twists of both, each
+    relabelled and scaled.
+    """
+    yield from (from_matrix(HEX_SYM), CLAW, DistanceTable(uniform_grid(3)))
+    for grid in (
+        uniform_grid(6), uniform_grid(7), cycle_grid(7), cycle_grid(12), cycle_grid(32),
+        directed_cycle_grid(6), directed_cycle_grid(9), directed_cycle_grid(16),
+        cube_grid(2), cube_grid(3), cube_grid(4), petersen_grid(), CLAW.entries,
+    ):  # fmt: skip
+        yield DistanceTable(grid)
+        yield relabelled(rng, grid, Fraction(7, 3))
+    families = (uniform_grid, cycle_grid, directed_cycle_grid, pairs_grid)
+    for k in range(240):
+        n = rng.randint(1, 10)
+        kind = k % 6
+        if kind == 0:
+            yield rand_semimetric(rng, n, symmetric=rng.random() < 0.5)
+            continue
+        if kind in (1, 2):
+            grid = graph_grid(rng, n, directed=kind == 2)
+        elif kind == 3:
+            grid = rng.choice((cube_grid(rng.randint(1, 3)), petersen_grid(), paley_grid(5)))
+        else:
+            family = rng.choice(families)
+            grid = family(min(n, 6) if family is uniform_grid else (n + 1) // 2 if family is pairs_grid else n)
+        if kind == 5:
+            grid = twisted(rng, grid).entries
+        yield relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+
+
+def test_isometry_group_matches_the_listing_search():
+    """The chain against today's listing search and, for n <= 7, brute force.
+
+    Sifting random permutations and random words in the generators must
+    agree with a direct isometry check without listing the group; then the
+    listing must equal the search's, element for element, and the
+    generators must generate it.
+    """
+    rng = random.Random(1313)
+    seen = Counter()
+    for table in isometry_oracle_tables(rng):
+        n = table.n
+        d = table.entries
+        group = isometry_group(table)
+        gens = [g.images for g in group.generators]
+        for _ in range(12):
+            images = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(images)
+            for g in rng.choices(gens, k=rng.randint(0, 4)) if gens else ():
+                images = [g[x] for x in images]
+            sigma = Permutation(images)
+            is_isometry = all(d[sigma(i)][sigma(j)] == d[i][j] for i in range(n) for j in range(n))
+            assert (sigma in group) == is_isometry
+            seen[is_isometry] += 1
+        assert Permutation.identity(n + 1) not in group and "id" not in group
+        assert group._listing is None
+        expected = listing_isometries(table)
+        assert group.order == len(expected)
+        assert [p.images for p in group.elements] == expected
+        assert brute_generated(gens, n) == set(expected)
+        if n <= 7:
+            assert expected == brute_isometries(table)
+        symmetric = all(d[i][j] == d[j][i] for i in range(n) for j in range(i))
+        seen["symmetric" if symmetric else "asymmetric", group.order > 1] += 1
+    # sifted members and non-members; tables with and without symmetry, of both kinds
+    assert seen[True] >= 1500 and seen[False] >= 1000
+    assert seen["symmetric", True] >= 100 and seen["symmetric", False] >= 30
+    assert seen["asymmetric", True] >= 30 and seen["asymmetric", False] >= 50
+
+
+@pytest.mark.parametrize(
+    "grid, order",
+    [
+        (uniform_grid(128), math.factorial(128)),
+        (pairs_grid(64), 2**64 * math.factorial(64)),
+        (cube_grid(7), 645120),
+        (cycle_grid(128), 256),
+        (directed_cycle_grid(16), 16),
+        (petersen_grid(), 120),
+        (paley_grid(13), 78),
+    ],
+    ids=["U128", "64 pairs", "Q7", "C128", "directed C16", "Petersen", "Paley13"],
+)
+def test_isometry_group_orders_at_scale(grid, order):
+    """Analytic orders from the chain, with the group never listed."""
+    group = isometry_group(DistanceTable(grid))
+    assert group.order == order
+    n = len(grid)
+    assert len(group.generators) < n
+    for g in group.generators:
+        inv = g.inverse().images
+        assert all([grid[i][j] for j in g.images] == grid[inv[i]] for i in range(n))
+        assert g in group
+    swap = Permutation([1, 0, *range(2, n)])
+    rows_agree = grid[0][2:] == grid[1][2:] and grid[0][1] == grid[1][0]
+    columns_agree = all(row[0] == row[1] for row in grid[2:])
+    assert (swap in group) == (rows_agree and columns_agree)
+    assert group._listing is None
+
+
+def test_len_and_truth_at_large_orders():
+    """len() is the order and fails from sys.maxsize on; a group is never empty."""
+    big = isometry_group(DistanceTable(uniform_grid(21)))
+    assert big and big.order == math.factorial(21) > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(big)
+    assert len(isometry_group(DistanceTable(uniform_grid(20)))) == math.factorial(20)
+    trivial = isometry_group(DistanceTable([[0]]))
+    assert trivial and len(trivial) == 1 and list(trivial) == [Permutation.identity(1)]
+    listed = IsometryGroup([Permutation.identity(2)])
+    assert listed and listed.order == 1 and Permutation([1, 0]) not in listed
 
 
 def _accepts(elements, n):
