@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .errors import ConsistencyError, ShapeError
@@ -17,12 +18,18 @@ class StarResult:
     """Outcome of a Kleene star computation.
 
     ``converges`` holds exactly when the eigenvalue is <= 0; ``star`` is the
-    series limit in that case and ``None`` otherwise.
+    series limit in that case and ``None`` otherwise.  ``eigenvalue`` is
+    computed by :func:`eigenvalue` on the input ``matrix`` the first time it
+    is read, and then kept: deciding convergence does not need it.
     """
 
     converges: bool
     star: Matrix | None
-    eigenvalue: Fraction
+    matrix: Matrix = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalue(self) -> Fraction:
+        return eigenvalue(self.matrix)
 
 
 def _require_square(a: Matrix):
@@ -69,14 +76,18 @@ def eigenvalue(a: Matrix) -> Fraction:
 def kleene_star(a: Matrix) -> StarResult:
     """Join of all powers of ``a`` together with the identity.
 
-    Computed as a Floyd-Warshall closure (best walk weights, exact when no
-    cycle has positive weight) followed by joining the zero diagonal.
-    Divergence is decided by the exact sign of the eigenvalue.
+    One Floyd-Warshall pass on the integer grid (best walk weights, exact
+    when no cycle has positive weight) followed by joining the zero
+    diagonal.  The pass decides divergence as it goes: every entry it
+    writes is the weight of a real walk, so a positive diagonal entry is a
+    positive closed walk and the eigenvalue is positive, and the pass stops
+    there.  Conversely, once pivots 0..k are done, entry (u, u) is at least
+    the weight of every simple cycle through u whose other nodes are <= k;
+    a positive cycle contains a positive simple cycle, which shows on the
+    diagonal at its largest node.  So a pass that ends with every diagonal
+    entry <= 0 proves the eigenvalue <= 0.
     """
     grid = [list(row) for row in _square_grid(a)]
-    lam = eigenvalue(a)
-    if lam > 0:
-        return StarResult(False, None, lam)
     n = a.rows
     for k in range(n):
         rowk = grid[k]
@@ -87,10 +98,12 @@ def kleene_star(a: Matrix) -> StarResult:
                 cand = ik + rowk[j]
                 if cand > rowi[j]:
                     rowi[j] = cand
+            if rowi[i] > 0:
+                return StarResult(False, None, a)
     for i in range(n):
         if grid[i][i] < 0:
             grid[i][i] = 0
-    return StarResult(True, from_int_grid(a, grid), lam)
+    return StarResult(True, from_int_grid(a, grid), a)
 
 
 def is_idempotent(a: Matrix) -> bool:

@@ -12,8 +12,8 @@ chains of operations, and the audit entry points are checked at a
 hostile D (a distinct 120-bit denominator per entry).  The
 pairwise rules that read the structure of an idempotent are checked
 against span membership, and counter gates pin how many products,
-assignments, span projections and alignments to one denominator the audit
-entry points run.
+assignments, span projections, alignments to one denominator and
+eigenvalues the audit entry points and the star run.
 """
 
 import random
@@ -23,6 +23,7 @@ from math import gcd, lcm
 
 import pytest
 
+import maxplus.closure as closure_module
 import maxplus.polytope as polytope_module
 import maxplus.rank as rank_module
 import maxplus.semiring as semiring_module
@@ -75,6 +76,7 @@ from helpers import (
     brute_membership,
     brute_permanent,
     brute_validate,
+    directed_cycle_grid,
     rand_metric,
     rand_semimetric,
     series_star,
@@ -130,19 +132,32 @@ def test_eigenvalue_matches_cycle_enumeration():
         assert eigenvalue(a) == brute_cycle_mean(a)
 
 
+LARGE_PRIMES = (999_983, 1_000_003, 1_000_033, 1_000_037, 1_000_039)
+
+
 def test_kleene_star_matches_series():
+    """Below, at and above the eigenvalue; at 0 exactly (``eigenvalue_zero``
+    often gives several critical cycles) and 1/(p q) either side of it, for
+    primes p, q near 10^6."""
     rng = random.Random(203)
+    cases = []
     for _ in range(40):
         a = prime_matrix(rng, rng.randint(1, 6))
         lam = brute_cycle_mean(a)
-        below = a.scale(-lam - rng.choice((0, 0, prime_scalar(rng, 1, 5))))
-        res = kleene_star(below)
-        assert res.converges
-        assert res.star == series_star(below)
-        above = a.scale(-lam + prime_scalar(rng, 1, 5))
-        res = kleene_star(above)
-        assert not res.converges and res.star is None
-        assert res.eigenvalue == brute_cycle_mean(above) > 0
+        cases.append(a.scale(-lam - rng.choice((0, 0, prime_scalar(rng, 1, 5)))))
+        cases.append(a.scale(-lam + prime_scalar(rng, 1, 5)))
+        zero = eigenvalue_zero(rng, rng.randint(1, 7))
+        p, q = rng.sample(LARGE_PRIMES, 2)
+        cases += [zero, zero.scale(Fraction(1, p * q)), zero.scale(Fraction(-1, p * q))]
+    seen = Counter()
+    for a in cases:
+        lam = brute_cycle_mean(a)
+        res = kleene_star(a)
+        assert res.converges == (lam <= 0)
+        assert res.star == (series_star(a) if res.converges else None)
+        assert res.eigenvalue == lam
+        seen[(lam > 0) - (lam < 0)] += 1
+    assert seen[1] == 80 and seen[0] >= 40 and seen[-1] >= 40
 
 
 def test_permanent_matches_brute_force():
@@ -653,10 +668,12 @@ def test_pairwise_rules_match_span_membership():
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of products, assignments, ``membership`` calls, span projections,
-    alignments of vector sets to one denominator and batched span tests."""
+    alignments of vector sets to one denominator, batched span tests and
+    eigenvalues."""
     counts = Counter()
     for module, name in (
         (semiring_module, "mat_mul"),
+        (closure_module, "eigenvalue"),
         (rank_module, "_max_assignment"),
         (polytope_module, "membership"),
         (polytope_module, "_project"),
@@ -676,6 +693,7 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     m = to_matrix(rand_metric(random.Random(215), n))
     assert classify(m).is_metric_matrix
     assert (calls["mat_mul"], calls["_max_assignment"], calls["_project"]) == (1, 1, 2)
+    assert calls["eigenvalue"] == 0  # the star decides convergence on its own
     calls.clear()
     hclass_element(m, Permutation.identity(n), 0)
     assert not calls
@@ -723,6 +741,29 @@ def test_hclass_contains_on_a_semimetric_matches_keys_only(calls):
     assert calls["in_span"] == calls["_project"] == calls["int_vectors"] == calls["membership"] == 0
 
 
+def test_star_computes_the_eigenvalue_only_when_read(calls):
+    n = 16
+    rng = random.Random(219)
+    s = to_matrix(rand_semimetric(rng, n))
+    calls.clear()
+    assert kleene_star(s.scale(-1)).converges
+    assert not calls
+    # the directed n-cycle with diagonal -n: column j is column j - 1 of its
+    # star, the semimetric matrix e, shifted by -1, and m * m != m
+    e = Matrix([[-x for x in row] for row in directed_cycle_grid(n)])
+    m = Matrix([[-n if i == j else e[i, j] for j in range(n)] for i in range(n)])
+    assert hclass_contains(m, e.scale(Fraction(5, 3)))
+    assert calls["mat_mul"] == 1 and calls["eigenvalue"] == 0  # the star route
+    calls.clear()
+    res = kleene_star(s.scale(Fraction(1, 7)))
+    assert not res.converges and res.star is None
+    assert not calls
+    assert res.eigenvalue == Fraction(1, 7)
+    assert calls["eigenvalue"] == 1
+    assert res.eigenvalue == Fraction(1, 7)
+    assert calls["eigenvalue"] == 1
+
+
 def test_cli_interior_tests_the_point_once(calls, tmp_path, capsys):
     # one alignment and one projection decide both membership and the answer
     path = tmp_path / "metric.tmat"
@@ -743,3 +784,47 @@ def test_render_and_negation_closed_check_once(calls):
         assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
         assert calls["int_vectors"] == 1  # the three negated columns in one span test
 
+
+def star_output(tmp_path, capsys, a, *flags):
+    path = tmp_path / "a.tmat"
+    path.write_text(serialize_matrix(a))
+    assert cli_main(["star", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_star_diverges_on_a_positive_cycle_through_the_last_pivots(tmp_path, capsys):
+    n = 128
+    rng = random.Random(221)
+    grid = [[Fraction(rng.randint(-30, -1), rng.choice(PRIMES)) - 1 for _ in range(n)] for _ in range(n)]
+    grid[n - 2][n - 1], grid[n - 1][n - 2] = Fraction(1, 3), Fraction(-1, 5)
+    a = Matrix(grid)
+    res = kleene_star(a)
+    assert not res.converges and res.star is None
+    assert star_output(tmp_path, capsys, a) == "diverges (eigenvalue 1/15)\n"
+    assert star_output(tmp_path, capsys, a, "--decimal") == "diverges (eigenvalue 0.06666666666666667)\n"
+
+
+def test_star_of_huge_positive_entries_stops_at_once(monkeypatch, tmp_path, capsys):
+    """Every cycle mean is c = 2^100 + 1/3, so entry (0, 0) is positive and
+    the pass ends with row 0 of pivot 0: n additions, where a full pass or
+    Karp's recurrence makes about n^3."""
+    n = 128
+    rng = random.Random(222)
+    c = 2**100 + Fraction(1, 3)
+    x = [Fraction(rng.getrandbits(90), rng.choice(PRIMES)) for _ in range(n)]
+    a = Matrix([[c + x[i] - x[j] for j in range(n)] for i in range(n)])
+    adds = Counter()
+
+    class Counted(int):
+        def __add__(self, other):
+            adds["+"] += 1
+            return int(self) + other
+
+    grid = [list(map(Counted, row)) for row in semiring_module.int_grid(a)]
+    monkeypatch.setattr(closure_module, "int_grid", lambda _: grid)
+    res = kleene_star(a)
+    assert not res.converges and res.star is None
+    assert adds["+"] == n
+    monkeypatch.undo()
+    assert star_output(tmp_path, capsys, a) == f"diverges (eigenvalue {c})\n"
+    assert star_output(tmp_path, capsys, a, "--decimal") == "diverges (eigenvalue 1.2676506002282294e+30)\n"
