@@ -132,8 +132,12 @@ def _cmd_hclass(args) -> int:
 
 def _cmd_render(args) -> int:
     text = render_matrix(load_matrix(args.file))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"maxplus: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

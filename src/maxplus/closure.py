@@ -7,8 +7,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-from .errors import ConsistencyError, ShapeError
-from .semiring import Matrix, from_int, from_int_grid, int_grid
+from .errors import ConsistencyError
+from .semiring import Matrix, require_square, square_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
 
@@ -32,17 +32,6 @@ class StarResult:
         return eigenvalue(self.matrix)
 
 
-def _require_square(a: Matrix):
-    if not a.is_square:
-        raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
-
-
-def _square_grid(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    """:func:`int_grid` of a square matrix."""
-    _require_square(a)
-    return int_grid(a)
-
-
 def eigenvalue(a: Matrix) -> Fraction:
     """Maximum cycle mean of the complete digraph weighted by ``a``.
 
@@ -51,7 +40,7 @@ def eigenvalue(a: Matrix) -> Fraction:
     is max_v min_k (walk[n][v] - walk[k][v]) / (n - k).  Means are compared
     by cross-multiplication, and only the answer becomes a ``Fraction``.
     """
-    grid = _square_grid(a)
+    grid, den = square_grid(a)
     n = a.rows
     cols = list(zip(*grid))
     # walks[k - 1][v] = walk[k][v] for k = 1..n, all finite as the digraph is
@@ -61,16 +50,17 @@ def eigenvalue(a: Matrix) -> Fraction:
         prev = walks[-1]
         walks.append([max(map(add, prev, col)) for col in cols])
     last = walks[-1]
-    best_num, best_den = None, 1
+    # a cycle mean is num / length on the scale of the grid, so num / (length * den)
+    best_num, best_len = None, 1
     for v in range(n):
-        worst_num, worst_den = (last[0], n) if v == 0 else (None, 1)
+        worst_num, worst_len = (last[0], n) if v == 0 else (None, 1)
         for k in range(1, n):
-            num, den = last[v] - walks[k - 1][v], n - k
-            if worst_num is None or num * worst_den < worst_num * den:
-                worst_num, worst_den = num, den
-        if best_num is None or worst_num * best_den > best_num * worst_den:
-            best_num, best_den = worst_num, worst_den
-    return from_int(a, best_num, best_den)
+            num, length = last[v] - walks[k - 1][v], n - k
+            if worst_num is None or num * worst_len < worst_num * length:
+                worst_num, worst_len = num, length
+        if best_num is None or worst_num * best_len > best_num * worst_len:
+            best_num, best_len = worst_num, worst_len
+    return Fraction(best_num, best_len * den)
 
 
 def kleene_star(a: Matrix) -> StarResult:
@@ -87,7 +77,8 @@ def kleene_star(a: Matrix) -> StarResult:
     diagonal at its largest node.  So a pass that ends with every diagonal
     entry <= 0 proves the eigenvalue <= 0.
     """
-    grid = [list(row) for row in _square_grid(a)]
+    grid, den = square_grid(a)
+    grid = [list(row) for row in grid]
     n = a.rows
     for k in range(n):
         rowk = grid[k]
@@ -103,12 +94,12 @@ def kleene_star(a: Matrix) -> StarResult:
     for i in range(n):
         if grid[i][i] < 0:
             grid[i][i] = 0
-    return StarResult(True, from_int_grid(a, grid), a)
+    return StarResult(True, Matrix._from_ints(grid, den), a)
 
 
 def is_idempotent(a: Matrix) -> bool:
     """Exact test of a*a == a under the tropical product."""
-    _require_square(a)
+    require_square(a)
     return (a @ a) == a
 
 
@@ -118,8 +109,8 @@ def star_fixed_point_check(a: Matrix) -> bool:
     These are exactly the idempotents with all-zero diagonal; the direct
     test is cross-checked against the computed closure.
     """
-    _require_square(a)
-    direct = all(a[i, i] == 0 for i in range(a.rows)) and is_idempotent(a)
+    grid, _ = square_grid(a)
+    direct = all(row[i] == 0 for i, row in enumerate(grid)) and is_idempotent(a)
     res = kleene_star(a)
     if res.converges:
         if (res.star == a) != direct:

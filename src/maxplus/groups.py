@@ -12,12 +12,12 @@ from fractions import Fraction
 from math import prod
 from operator import sub
 
-from .closure import _square_grid, is_idempotent, kleene_star
+from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .metric import DistanceClass, DistanceTable, _table_level, validate
 from .permutation import Permutation
 from .rank import is_strongly_regular
-from .semiring import Matrix, from_int_grid, from_int_scalars, int_grid, int_grids, scalar
+from .semiring import Matrix, int_grids, ray_key, scalar, square_grid
 
 __all__ = [
     "IsometryGroup",
@@ -183,7 +183,7 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     if validate(table).level < DistanceClass.SEMIMETRIC:
         raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
-    d = list(map(list, int_grid(table.values)))
+    d = list(map(list, square_grid(table.values)[0]))
     dt = list(map(list, zip(*d)))
     # each point's sorted (out, in) distance pairs; the diagonal adds (0, 0) to every one
     profiles: dict = {}
@@ -257,7 +257,7 @@ def commutes_with(g: UnitDecomposition, d: Matrix) -> bool:
     n = g.perm.n
     if not (d.is_square and d.rows == n == len(g.diagonal)):
         raise ShapeError("commutes_with requires a square matrix of the unit's size")
-    (s,), gd, _ = int_grids(Matrix([g.diagonal]), d)
+    ((s,), gd), _ = int_grids(Matrix([g.diagonal]), d)
     sigma = g.perm.images
     inv = g.perm.inverse().images
     return all(
@@ -281,7 +281,7 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``; :func:`hclass_decompose` is its inverse.
     """
     lam = scalar(lam)
-    grid = _square_grid(d)
+    grid, den = square_grid(d)
     if _table_level(d, grid) != DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
@@ -289,7 +289,7 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     if not _is_isometry(grid, sigma.images):
         raise PreconditionError("permutation is not an isometry of the metric")
     inv = sigma.inverse()
-    return from_int_grid(d, [grid[inv(i)] for i in range(d.rows)]).scale(lam)
+    return Matrix._from_ints([grid[inv(i)] for i in range(d.rows)], den).scale(lam)
 
 
 def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | None:
@@ -308,10 +308,9 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     """
     if not (e.is_square and n.is_square and e.rows == n.rows):
         raise ShapeError("hclass_decompose requires square matrices of equal size")
-    grid = int_grid(e)
-    if _table_level(e, grid) != DistanceClass.METRIC:
+    (ge, gn), den = int_grids(e, n)
+    if _table_level(e, ge) != DistanceClass.METRIC:
         raise PreconditionError("hclass_decompose requires a metric matrix")
-    ge, gn, den = int_grids(e, n)
     images = [col.index(max(col)) for col in zip(*gn)]
     if len(set(images)) != len(images) or not _is_isometry(ge, images):
         return None
@@ -320,7 +319,7 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     # row sigma(k) of n must be row k of e shifted by lam
     if any(list(map(sub, gn[img], row)) != shift for img, row in zip(images, ge)):
         return None
-    return Permutation(images), from_int_scalars((lam,), den)[0]
+    return Permutation(images), Fraction(lam, den)
 
 
 _NO_IDEMPOTENT = "cannot recover an idempotent for the column space; pass one explicitly"
@@ -337,15 +336,6 @@ def _resolve_idempotent(m: Matrix, supplied: Matrix | None) -> Matrix:
     if star.converges:
         return star.star
     raise PreconditionError(_NO_IDEMPOTENT)
-
-
-def _ray_keys(vectors) -> set[tuple[int, ...]]:
-    """Each int vector keyed by its differences to its first entry.
-
-    Two vectors share a key exactly when they differ by a scalar, so keys
-    are comparable only between vectors over one denominator.
-    """
-    return {tuple([x - v[0] for x in v]) for v in vectors}
 
 
 def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> bool:
@@ -368,14 +358,14 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
     span a space with n extremal rays only when they lie on its rays, one
     on each, so ``n`` is a member exactly when its columns are the columns
     of e and its rows the rows of e, each shifted by a scalar, in some order.
-    Both are decided by comparing sets of :func:`_ray_keys` over one
+    Both are decided by comparing sets of ``semiring.ray_key`` over one
     denominator per pair, in O(n^2) after the preconditions.  Every matrix
     must be square and of the same size.
     """
     given = (m, n) if idempotent is None else (m, n, idempotent)
     if not all(a.is_square and a.rows == m.rows for a in given):
         raise ShapeError("hclass_contains requires square matrices of equal size")
-    grid = int_grid(m)
+    (grid,), _ = int_grids(m)
     semimetric = (DistanceClass.SEMIMETRIC, DistanceClass.METRIC)
     if idempotent is None and _table_level(m, grid) in semimetric:
         e = m
@@ -384,10 +374,12 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
         if not is_strongly_regular(e):
             raise PreconditionError("column space is not that of a strongly regular idempotent")
         if e is not m:  # m spans its own column space
-            ge, gm, _ = int_grids(e, m)
-            if _ray_keys(zip(*ge)) != _ray_keys(zip(*gm)):
+            (ge, gm), _ = int_grids(e, m)
+            if set(map(ray_key, zip(*ge))) != set(map(ray_key, zip(*gm))):
                 if idempotent is None:  # e is the star of m: no witness was given
                     raise PreconditionError(_NO_IDEMPOTENT)
                 raise PreconditionError("witness idempotent has a different column space")
-    ge, gn, _ = int_grids(e, n)
-    return _ray_keys(zip(*ge)) == _ray_keys(zip(*gn)) and _ray_keys(ge) == _ray_keys(gn)
+    (ge, gn), _ = int_grids(e, n)
+    return all(
+        set(map(ray_key, a)) == set(map(ray_key, b)) for a, b in ((zip(*ge), zip(*gn)), (ge, gn))
+    )

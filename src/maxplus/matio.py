@@ -139,6 +139,8 @@ def load_matrix(path) -> Matrix:
             text = fh.read()
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"cannot read {path}: not UTF-8 text") from exc
     return parse_matrix(text)
 
 

@@ -15,11 +15,11 @@ from enum import IntEnum
 from fractions import Fraction
 from operator import add, sub
 
-from .closure import _square_grid, is_idempotent, kleene_star
+from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .polytope import interior_test
 from .rank import is_strongly_regular
-from .semiring import Matrix, Vector, int_grid, residuation
+from .semiring import Matrix, Vector, int_grids, residuation, square_grid
 
 __all__ = [
     "DistanceClass",
@@ -69,7 +69,7 @@ class DistanceTable:
         values = Matrix(rows)
         if not values.is_square:
             raise ShapeError("a distance table must be square and non-empty")
-        grid = int_grid(values)
+        (grid,), _ = int_grids(values)
         for i in range(values.rows):
             if grid[i][i] != 0:
                 raise PreconditionError(f"self-distance of point {i + 1} is {values[i, i]}, not 0")
@@ -118,7 +118,7 @@ def validate(table: DistanceTable) -> ValidationResult:
     then symmetry; the witness is the first violating triple or pair in
     row-major order.
     """
-    d = int_grid(table.values)
+    (d,), _ = int_grids(table.values)
     cols = list(zip(*d))
     for i, row in enumerate(d):
         for j, col in enumerate(cols):
@@ -155,7 +155,7 @@ def to_matrix(table: DistanceTable) -> Matrix:
 
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
-    grid = _square_grid(d)
+    grid, _ = square_grid(d)
     if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
     return DistanceTable._wrap(-d)
@@ -192,7 +192,7 @@ def classify(a: Matrix) -> ClassificationReport:
     All flags are computed independently; the characterizations are provably
     equivalent, so any disagreement raises ``ConsistencyError``.
     """
-    grid = _square_grid(a)
+    grid, _ = square_grid(a)
     idem = is_idempotent(a)
     zero_diag = all(row[i] == 0 for i, row in enumerate(grid))
     star = kleene_star(a)
@@ -288,7 +288,7 @@ def residuation_bound_check(e: Matrix) -> bool:
     zero-diagonal idempotents.  These always hold, so a violation is a
     fatal consistency error.
     """
-    grid = _square_grid(e)
+    grid, _ = square_grid(e)
     if not is_idempotent(e):
         raise PreconditionError("residuation_bound_check requires an idempotent matrix")
     cols = list(zip(*grid))

@@ -11,17 +11,10 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .closure import _require_square, is_idempotent
+from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .rank import column_classes, is_strongly_regular
-from .semiring import (
-    Matrix,
-    Vector,
-    from_int_scalars,
-    from_int_vector,
-    int_vectors,
-    mat_vec,
-)
+from .semiring import Matrix, Vector, int_vectors, mat_vec, ray_key, require_square, square_grid
 
 __all__ = [
     "SpanMembership",
@@ -72,7 +65,8 @@ def membership(generators: Sequence[Vector], x: Vector) -> SpanMembership:
     """Decide whether ``x`` lies in the tropical span of ``generators``."""
     gens, (xs,), den = _aligned(generators, [x])
     lams, proj = _project(gens, xs)
-    return SpanMembership(proj == xs, from_int_scalars(lams, den), from_int_vector(proj, den))
+    coefficients = tuple([Fraction(lam, den) for lam in lams])
+    return SpanMembership(proj == xs, coefficients, Vector._from_ints(proj, den))
 
 
 def in_span(generators: Sequence[Vector], *points: Vector) -> bool:
@@ -117,7 +111,7 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     interior = interior_test(e, x)
     if interior is None:
         raise PreconditionError("point is not in the column space")
-    _require_square(e)
+    require_square(e)
     _require_strongly_regular_idempotent(e, "interior_point")
     return interior
 
@@ -151,11 +145,10 @@ def extremal_indices(vectors: Sequence[Vector]) -> list[int]:
     vecs = list(vectors)
     if not vecs:
         raise PreconditionError("extremal_indices requires at least one vector")
-    views = int_vectors(vecs)[0]
+    views, _ = int_vectors(vecs)
     reps: dict[tuple, int] = {}
-    # over one D, a scaling class is keyed by the differences to the last entry
     for idx, ints in enumerate(views):
-        reps.setdefault(tuple([e - ints[-1] for e in ints]), idx)
+        reps.setdefault(ray_key(ints), idx)
     rep_idx = sorted(reps.values())
     # a lone representative projects onto the empty join (), so it is extremal
     return [
@@ -226,7 +219,7 @@ class PolytropeHRep:
 
 def halfspace_rep(e: Matrix) -> PolytropeHRep:
     """Halfspace description of the column space of a zero-diagonal idempotent."""
-    if not is_idempotent(e) or any(e[i, i] != 0 for i in range(e.rows)):
+    if not is_idempotent(e) or any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])):
         raise PreconditionError("halfspace_rep requires a zero-diagonal idempotent")
     return PolytropeHRep(e.rows, e.entries)
 
@@ -245,7 +238,7 @@ def polytrope_vertices_2d(e: Matrix) -> list[tuple[Fraction, Fraction]]:
     large matrix is refused before any product or integer view is built,
     and a matrix that is neither 3x3 nor idempotent is reported by size.
     """
-    _require_square(e)
+    require_square(e)
     if e.rows != 3:
         raise PreconditionError("vertex enumeration is implemented for 3x3 matrices only")
     _require_strongly_regular_idempotent(e, "polytrope_vertices_2d")

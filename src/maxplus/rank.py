@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closure import _square_grid, is_idempotent
+from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError
 from .permutation import Permutation
-from .semiring import Matrix, from_int, int_grid, scalar
+from .semiring import Matrix, scalar, square_grid
 
 __all__ = [
     "PermanentResult",
@@ -121,10 +121,10 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
 
 def permanent(a: Matrix) -> PermanentResult:
     """Tropical permanent with an optimal permutation and a uniqueness flag."""
-    weights = _square_grid(a)
+    weights, den = square_grid(a)
     cost = [[-e for e in row] for row in weights]
     images, u, v = _max_assignment(cost)
-    value = from_int(a, sum(weights[i][images[i]] for i in range(a.rows)))
+    value = Fraction(sum(weights[i][images[i]] for i in range(a.rows)), den)
     unique = not _second_optimum_exists(cost, images, u, v)
     return PermanentResult(value, unique, Permutation(images))
 
@@ -146,7 +146,7 @@ def column_classes(e: Matrix, what: str) -> tuple[tuple[tuple[int, ...], ...], l
     """
     if not is_idempotent(e):
         raise PreconditionError(f"{what} requires an idempotent matrix")
-    grid = int_grid(e)
+    grid, _ = square_grid(e)
     classes: list[list[int]] = []
     for j, row in enumerate(grid):
         if row[j] != 0:
@@ -206,7 +206,4 @@ def idempotent_family(e: Matrix, lam) -> Matrix:
     if not redundant:
         raise PreconditionError("matrix is strongly regular: every column is essential")
     j = redundant[0]
-    entries = [list(row) for row in e.entries]
-    for row in entries:
-        row[j] += lam
-    return Matrix(entries)
+    return Matrix([[x + lam if k == j else x for k, x in enumerate(row)] for row in e.entries])

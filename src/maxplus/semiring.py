@@ -27,16 +27,16 @@ racing on that computation store equal values.  The rows and columns of a
 matrix are vectors built from its view, and ``scale``, ``residuation``,
 ``mat_vec`` and the vector order and lattice operations run on views.
 
-Only this module knows the format.  The closure and rank kernels run on
-:func:`int_grid`, a matrix times its D, and hand their results back
-through :func:`from_int_grid` and :func:`from_int`.  Span membership
-runs on :func:`int_vectors`, generators and point over one D, and the
-H-class decomposition on :func:`int_grids`, two matrices over one D; both
-hand back through :func:`from_int_vector` and :func:`from_int_scalars`.  A
+Only this module knows the format, and it offers one bridge to it.
+:func:`int_grids` gives matrices and :func:`int_vectors` gives vectors
+as ints over one common D, both as ``(views, D)``; a single value keeps
+its own view.  :func:`square_grid` is the ``(grid, D)`` of a square
+matrix, and :func:`ray_key` keys an int vector by its scaling class.  A
+kernel hands its results back as ``Matrix._from_ints(grid, D)``,
+``Vector._from_ints(ints, D)`` or ``Fraction(v, D)``.  A
 ``DistanceTable`` (in ``metric``) wraps the matrix of its values, so
-tables reach the same kernels through :func:`int_grid`.  A
-``Fraction`` is made only for an answer, or for ``entries`` when a caller
-asks.
+tables reach the same kernels.  A ``Fraction`` is made only for an
+answer, or for ``entries`` when a caller asks.
 
 Tuples here are built from lists, not from generators.  CPython builds a
 tuple from a generator by resizing it, and a resized tuple, once freed,
@@ -192,10 +192,8 @@ def _same_entries(a, da, b, db) -> bool:
 def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
     """The entries of equal-length ``vectors`` times one common denominator D.
 
-    Returns the int tuples and D.  Package-internal: as with
-    :func:`int_grid`, a max-plus kernel may run on these and return its
-    results through :func:`from_int_vector` and :func:`from_int_scalars`,
-    given the same D.  Raises ``ShapeError`` if the lengths differ.
+    Returns the int tuples and D.  Package-internal, like :func:`int_grids`.
+    Raises ``ShapeError`` if the lengths differ.
     """
     views = [v._int_view() for v in vectors]
     n = len(views[0][0])
@@ -323,7 +321,7 @@ class Matrix:
         """Entrywise max (the semiring addition)."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("matrix shapes differ")
-        a, b, den = int_grids(self, other)
+        (a, b), den = int_grids(self, other)
         return Matrix._from_ints([list(map(max, r1, r2)) for r1, r2 in zip(a, b)], den)
 
     def scale(self, lam) -> "Matrix":
@@ -364,59 +362,47 @@ def _rescale(num, factor):
     return [[e * factor for e in row] for row in num]
 
 
-# Package-internal: the closure and rank kernels run on these, so that only
-# this module knows the integer view.
+# Package-internal: the kernels of the other modules run on these, so that
+# only this module knows the integer view.
 
 
-def int_grid(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The entries of ``a`` times its common denominator, as ints.
+def int_grids(*matrices: Matrix) -> tuple[list, int]:
+    """The entries of ``matrices`` times one common denominator D, as ints.
 
-    Max, + and comparison commute with positive scaling, so a max-plus
-    kernel may run on this grid and return its results through
-    :func:`from_int_grid` and :func:`from_int`, given the same ``a``.
+    Returns the grids and D; a single matrix keeps its own view, with no
+    rescale.  Max, + and comparison commute with positive scaling, so a
+    max-plus kernel may run on these grids.
     """
-    return a._int_view()[0]
+    views = [a._int_view() for a in matrices]
+    den = lcm(*[d for _, d in views])
+    return [_rescale(num, den // d) for num, d in views], den
 
 
-def int_grids(a: Matrix, b: Matrix):
-    """The entries of ``a`` and ``b`` times one common denominator D, as ints.
+def require_square(a: Matrix):
+    if not a.is_square:
+        raise ShapeError(f"square matrix required, got {a.rows}x{a.cols}")
 
-    Returns the two grids and D; a kernel returns its scalars through
-    :func:`from_int_scalars`, given the same D.
+
+def square_grid(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer view (grid, D) of a square matrix."""
+    require_square(a)
+    return a._int_view()
+
+
+def ray_key(ints: Sequence[int]) -> tuple[int, ...]:
+    """An int vector keyed by its differences to its first entry.
+
+    Two vectors share a key exactly when they differ by a scalar, so keys
+    are comparable only between vectors over one denominator.
     """
-    (na, da), (nb, db) = a._int_view(), b._int_view()
-    den = lcm(da, db)
-    return _rescale(na, den // da), _rescale(nb, den // db), den
-
-
-def from_int_grid(a: Matrix, grid) -> Matrix:
-    """The matrix whose integer grid, on the scale of ``a``, is ``grid``."""
-    return Matrix._from_ints(grid, a._int_view()[1])
-
-
-def from_int(a: Matrix, value: int, divisor: int = 1) -> Fraction:
-    """The rational ``value / divisor``, given on the scale of ``a``."""
-    return Fraction(value, divisor * a._int_view()[1])
-
-
-def from_int_vector(ints: Sequence[int], den: int) -> Vector:
-    """The vector whose ints over the D of :func:`int_vectors` are ``ints``."""
-    return Vector._from_ints(ints, den)
-
-
-def from_int_scalars(values: Iterable[int], den: int) -> tuple[Fraction, ...]:
-    """The rationals whose ints over the D of :func:`int_vectors` are ``values``.
-
-    The D of :func:`int_grids` serves as well.
-    """
-    return tuple([Fraction(v, den) for v in values])
+    return tuple([x - ints[0] for x in ints])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Tropical matrix product: entry (i,j) is max over l of a[i,l] + b[l,j]."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    an, bn, den = int_grids(a, b)
+    (an, bn), den = int_grids(a, b)
     cols = list(zip(*bn))
     return Matrix._from_ints([[max(map(add, row, col)) for col in cols] for row in an], den)
 

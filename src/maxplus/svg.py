@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closure import _require_square, is_idempotent
+from .closure import is_idempotent
 from .errors import PreconditionError
 from .polytope import vertices_2d
 from .rank import is_strongly_regular
-from .semiring import Matrix, projectivize
+from .semiring import Matrix, projectivize, require_square, square_grid
 
 __all__ = ["render_matrix"]
 
@@ -112,7 +112,7 @@ class _Canvas:
 def _render_band(e: Matrix) -> str:
     # the fixed-point band k <= x - y <= -l describes the column space only
     # for zero-diagonal idempotents
-    if not is_idempotent(e) or e[0, 0] != 0 or e[1, 1] != 0:
+    if not is_idempotent(e) or any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])):
         raise PreconditionError("render requires a zero-diagonal idempotent")
     k, l = e[0, 1], e[1, 0]
     one = Fraction(1)
@@ -161,7 +161,7 @@ def _render_polytrope(e: Matrix) -> str:
 
 def render_matrix(e: Matrix) -> str:
     """SVG text for a 2x2 idempotent band or a 3x3 polytrope."""
-    _require_square(e)
+    require_square(e)
     if e.rows > 3:
         raise PreconditionError("render supports n <= 3")
     if e.rows == 1:

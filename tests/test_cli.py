@@ -230,6 +230,34 @@ def test_exit_code_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bytes.tmat"
+    bad.write_bytes(b"tmat 1\n1 1\n\xff\n")
+    for command, *options in (
+        ["classify"],
+        ["star"],
+        ["eigenvalue"],
+        ["embed"],
+        ["isometries"],
+        ["extremals"],
+        ["interior", "--point", "0"],
+        ["hclass", "--perm", "1"],
+        ["render", "-o", str(tmp_path / "x.svg")],
+    ):
+        assert main([command, str(bad), *options]) == 2
+        assert capsys.readouterr().err == f"maxplus: parse error: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_render_to_an_unwritable_path_is_a_usage_error(files, tmp_path, capsys):
+    for out, reason in (
+        (tmp_path / "missing" / "x.svg", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        ("", "No such file or directory"),
+    ):
+        assert main(["render", files["band_inside"], "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"maxplus: cannot write {out}: {reason}\n"
+
+
 @pytest.mark.parametrize("dims", ["² 1", "9" * 5000 + " 1"], ids=["superscript", "5000-digits"])
 def test_exit_code_parse_error_on_dimensions(tmp_path, capsys, dims):
     path = tmp_path / "dims.tmat"

@@ -40,6 +40,7 @@ from maxplus import (
     extremal_columns,
     extremal_indices,
     from_matrix,
+    halfspace_rep,
     hclass_contains,
     hclass_decompose,
     hclass_element,
@@ -57,6 +58,7 @@ from maxplus import (
     residuation,
     residuation_bound_check,
     scale,
+    star_fixed_point_check,
     to_matrix,
     validate,
     zero_diag_regularity,
@@ -785,6 +787,32 @@ def test_render_and_negation_closed_check_once(calls):
         assert calls["int_vectors"] == 1  # the three negated columns in one span test
 
 
+@pytest.fixture
+def entries_reads(monkeypatch):
+    """Counts reads of ``Matrix.entries``, the ``Fraction`` form of a matrix."""
+    counts = Counter()
+    fget = Matrix.entries.fget
+
+    def counted(self):
+        counts["entries"] += 1
+        return fget(self)
+
+    monkeypatch.setattr(Matrix, "entries", property(counted))
+    return counts
+
+
+def test_diagonal_checks_read_the_int_grid(entries_reads):
+    star = kleene_star(to_matrix(rand_semimetric(random.Random(223), 16)).scale(-1)).star
+    # an idempotent whose diagonal is not zero: [[0, -1], [-1, -2]] squared is itself
+    e = Matrix([[0, -1], [-1, -2]])
+    entries_reads.clear()
+    assert star_fixed_point_check(star)
+    for refuse in (halfspace_rep, render_matrix):
+        with pytest.raises(PreconditionError, match="zero-diagonal idempotent"):
+            refuse(e)
+    assert not entries_reads
+
+
 def star_output(tmp_path, capsys, a, *flags):
     path = tmp_path / "a.tmat"
     path.write_text(serialize_matrix(a))
@@ -820,8 +848,9 @@ def test_star_of_huge_positive_entries_stops_at_once(monkeypatch, tmp_path, caps
             adds["+"] += 1
             return int(self) + other
 
-    grid = [list(map(Counted, row)) for row in semiring_module.int_grid(a)]
-    monkeypatch.setattr(closure_module, "int_grid", lambda _: grid)
+    num, den = semiring_module.square_grid(a)
+    grid = [list(map(Counted, row)) for row in num]
+    monkeypatch.setattr(closure_module, "square_grid", lambda _: (grid, den))
     res = kleene_star(a)
     assert not res.converges and res.star is None
     assert adds["+"] == n

@@ -115,6 +115,13 @@ def test_load_matrix_missing_file(tmp_path):
     assert load_matrix(target) == Matrix([[0]])
 
 
+def test_load_matrix_non_utf8_file(tmp_path):
+    bad = tmp_path / "bytes.tmat"
+    bad.write_bytes(b"tmat 1\n1 1\n\xff\n")
+    with pytest.raises(MatrixParseError, match="not UTF-8 text"):
+        load_matrix(bad)
+
+
 def test_format_scalar():
     assert format_scalar(Fraction(-3, 2)) == "-3/2"
     assert format_scalar(Fraction(4)) == "4"
