@@ -1,14 +1,16 @@
 """Command-line surface: classification, closures, embeddings, rendering.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
-violation, 4 internal consistency failure.  All indices in input and
-output are 1-based; numeric output is exact unless --decimal is given.
+Exit codes: 0 success, 1 usage error or a failed write to stdout, 2
+parse error, 3 precondition violation, 4 internal consistency failure.
+All indices in input and output are 1-based; numeric output is exact
+unless --decimal is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -201,7 +203,7 @@ def _fold_option_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -220,6 +222,23 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"maxplus: internal consistency failure: {exc}", file=sys.stderr)
         return 4
+
+
+def main(argv=None) -> int:
+    # the commands catch the failures of their own file reads and writes, so
+    # an OSError here comes from stdout: a full disk or a closed pipe
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+        return status
+    except OSError as exc:
+        print(f"maxplus: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        # what is still buffered would fail again at exit, so drop it
+        # (the "Note on SIGPIPE" in the signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

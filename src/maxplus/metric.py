@@ -117,23 +117,44 @@ def validate(table: DistanceTable) -> ValidationResult:
     Checks the triangle inequality first, then nonnegativity and separation,
     then symmetry; the witness is the first violating triple or pair in
     row-major order.
+
+    A pair (i, j) fails the triangle inequality only through a third point
+    k, and d(i, k) + d(k, j) is at least low_out[i] + low_in[j], the least
+    entries of row i and column j off the diagonal.  So a pair within that
+    bound cannot fail and is not scanned, and on a symmetric table, where
+    (j, i) fails whenever (i, j) does, only pairs with j >= i are scanned.
+    The cost is O(n^2) when every pair is within the bound, and otherwise
+    one O(n) scan per remaining pair; the worst case is still O(n^3).
     """
     (d,), _ = int_grids(table.values)
+    n = len(d)
+    if n == 1:
+        return ValidationResult(DistanceClass.METRIC, None)
     cols = list(zip(*d))
+    low_out = [min(row[:i] + row[i + 1 :]) for i, row in enumerate(d)]
+    low_in = [min(col[:j] + col[j + 1 :]) for j, col in enumerate(cols)]
+    mirrored = [row == col for row, col in zip(d, cols)]
+    half = all(mirrored)
     for i, row in enumerate(d):
-        for j, col in enumerate(cols):
-            dij = row[j]
-            if dij > min(map(add, row, col)):
-                k = next(k for k, (a, b) in enumerate(zip(row, col)) if dij > a + b)
-                return ValidationResult(DistanceClass.NOT_TRIANGLE, (i, k, j))
+        start = i if half else 0
+        bound = low_out[i]
+        slack = list(map(sub, row[start:], low_in[start:]))
+        if max(slack) <= bound:
+            continue
+        for j, s in enumerate(slack, start):
+            if s > bound:
+                dij, col = row[j], cols[j]
+                if dij > min(map(add, row, col)):
+                    k = next(k for k, (a, b) in enumerate(zip(row, col)) if dij > a + b)
+                    return ValidationResult(DistanceClass.NOT_TRIANGLE, (i, k, j))
     for i, row in enumerate(d):
-        for j, dij in enumerate(row):
-            if i != j and dij <= 0:
-                return ValidationResult(DistanceClass.PRE_SEMIMETRIC, (i, j))
-    for i, row in enumerate(d):
-        for j in range(i + 1, len(d)):
-            if row[j] != d[j][i]:
-                return ValidationResult(DistanceClass.SEMIMETRIC, (i, j))
+        if low_out[i] <= 0:
+            j = next(j for j, dij in enumerate(row) if j != i and dij <= 0)
+            return ValidationResult(DistanceClass.PRE_SEMIMETRIC, (i, j))
+    if not half:
+        i = mirrored.index(False)
+        j = next(j for j in range(i + 1, n) if d[i][j] != cols[i][j])
+        return ValidationResult(DistanceClass.SEMIMETRIC, (i, j))
     return ValidationResult(DistanceClass.METRIC, None)
 
 

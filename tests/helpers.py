@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from maxplus import (
     DistanceTable,
@@ -17,6 +18,7 @@ from maxplus import (
 from maxplus.errors import PreconditionError
 from maxplus.groups import _resolve_idempotent
 from maxplus.polytope import in_span
+from maxplus.semiring import int_grids
 from symmetric_tmat import cube_grid, cycle_grid, pairs_grid, uniform_grid  # noqa: F401
 
 # The three 3x3 golden idempotents: a polytrope with the origin on its
@@ -271,6 +273,32 @@ def brute_validate(table):
     for i in range(n):
         for j in range(i + 1, n):
             if d(i, j) != d(j, i):
+                return 2, (i, j)
+    return 3, None
+
+
+def scan_validate(table):
+    """(level, witness) by one O(n) scan for every pair, on the int view.
+
+    The full O(n^3) check that ``validate`` ran before it learnt to skip
+    pairs within its lower bound; levels are ints as in
+    :func:`brute_validate`.
+    """
+    (d,), _ = int_grids(table.values)
+    cols = list(zip(*d))
+    for i, row in enumerate(d):
+        for j, col in enumerate(cols):
+            dij = row[j]
+            if dij > min(map(add, row, col)):
+                k = next(k for k, (a, b) in enumerate(zip(row, col)) if dij > a + b)
+                return 0, (i, k, j)
+    for i, row in enumerate(d):
+        for j, dij in enumerate(row):
+            if i != j and dij <= 0:
+                return 1, (i, j)
+    for i, row in enumerate(d):
+        for j in range(i + 1, len(d)):
+            if row[j] != d[j][i]:
                 return 2, (i, j)
     return 3, None
 

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import maxplus
 from maxplus import Matrix, Permutation, PreconditionError, hclass_element
 from maxplus.cli import LISTING_CAP, REPORT_SCHEMA, main
 from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
@@ -256,6 +260,36 @@ def test_render_to_an_unwritable_path_is_a_usage_error(files, tmp_path, capsys):
     ):
         assert main(["render", files["band_inside"], "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"maxplus: cannot write {out}: {reason}\n"
+
+
+def _classify_to(stdout, path, unbuffered):
+    """``python -m maxplus classify PATH`` with stdout on the given file descriptor."""
+    env = {**os.environ, "PYTHONPATH": str(Path(maxplus.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.run(
+        [sys.executable, "-m", "maxplus", "classify", path], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+# unbuffered, print fails at once; buffered, the failure comes at the flush
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_disk_on_stdout_is_one_line_and_exit_1(files, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _classify_to(full, files["hex_sym"], unbuffered)
+    assert proc.returncode == 1
+    assert proc.stderr == b"maxplus: cannot write to stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_on_stdout_is_one_line_and_exit_1(files, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _classify_to(write_end, files["hex_sym"], unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"maxplus: cannot write to stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("dims", ["² 1", "9" * 5000 + " 1"], ids=["superscript", "5000-digits"])

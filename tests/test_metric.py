@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import maxplus.metric as metric_module
 
 from maxplus import (
     DistanceClass,
@@ -28,12 +31,17 @@ from helpers import (
     HEX_ASYM,
     HEX_SYM,
     TRIANGLE,
+    brute_validate,
+    cube_grid,
+    cycle_grid,
+    directed_cycle_grid,
     rand_matrix,
     rand_metric,
     rand_scalar,
     rand_semimetric,
     rand_vector,
     rand_zero_diag,
+    scan_validate,
     star_closed_zero_diag,
 )
 
@@ -258,3 +266,143 @@ def test_distinct_semimetrics_have_distinct_polytropes():
             membership(cols2, c).member for c in cols1
         )
         assert not mutual
+
+
+# ``validate`` skips a pair (i, j) when d(i, j) <= low_out[i] + low_in[j],
+# the least entries of row i and column j off the diagonal, and on a
+# symmetric table scans only pairs with j >= i.  The tables below sit at the
+# edge of that bound, so that both the skipped and the scanned pairs matter.
+
+
+def band_grid(rng, n, m, symmetric):
+    """Off-diagonal entries in [m, 2m], so every pair is within the bound; a metric when symmetric."""
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and not (symmetric and j < i):
+                grid[i][j] = Fraction(rng.randint(2 * m, 4 * m), 2)
+                if symmetric:
+                    grid[j][i] = grid[i][j]
+    return grid
+
+
+def distinct_grid(rng, n):
+    """A metric with distinct distances in [48, 96]."""
+    values = iter(rng.sample(range(48 * 32, 96 * 32 + 1), n * (n - 1) // 2))
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = grid[j][i] = Fraction(next(values), 32)
+    return grid
+
+
+def perturbed(rng, grid):
+    """``grid`` with one off-diagonal entry moved by +-1/2 or +-1, or to 1/2
+    past its shortest detour, and its mirror too half the time."""
+    n = len(grid)
+    grid = [list(row) for row in grid]
+    i, j = rng.sample(range(n), 2)
+    if n > 2 and rng.random() < 0.4:
+        grid[i][j] = min(grid[i][k] + grid[k][j] for k in range(n) if k not in (i, j)) + Fraction(1, 2)
+    else:
+        grid[i][j] += rng.choice((Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)))
+    if rng.random() < 0.5:
+        grid[j][i] = grid[i][j]
+    return grid
+
+
+def edge_table(rng, kind):
+    if kind == "pushed":  # one entry at 2m + 1/2, just past the bound of a band
+        n, m = rng.randint(3, 10), rng.randint(1, 4)
+        grid = [[Fraction(0 if i == j else rng.randint(m, 2 * m)) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            grid = [[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        i, j = rng.sample(range(n), 2)
+        grid[i][j] = 2 * m + Fraction(1, 2)
+        if rng.random() < 0.5:
+            grid[j][i] = grid[i][j]
+        return grid
+    if kind == "negative":  # symmetric with negative entries: diagonal witnesses
+        n = rng.randint(2, 8)
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                grid[i][j] = grid[j][i] = Fraction(rng.randint(-3, 8), rng.choice((1, 2)))
+        return grid
+    if kind == "tiny":
+        n = rng.randint(1, 2)
+        grid = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            grid[i][i] = Fraction(0)
+        return grid
+    return perturbed(rng, cycle_grid(rng.randint(3, 12)))
+
+
+def test_validate_matches_brute_force_at_the_edge_of_its_bound():
+    rng = random.Random(230)
+    levels, diagonal, pushed = Counter(), 0, 0
+    for t in range(400):
+        kind = ("pushed", "negative", "tiny", "cycle")[t % 4]
+        table = DistanceTable(edge_table(rng, kind))
+        res = validate(table)
+        assert (int(res.level), res.witness) == brute_validate(table)
+        levels[int(res.level)] += 1
+        if res.level == DistanceClass.NOT_TRIANGLE:
+            diagonal += res.witness[0] == res.witness[2]
+            pushed += kind == "pushed"
+    assert set(levels) == {0, 1, 2, 3} and min(levels.values()) >= 10
+    assert diagonal >= 20 and pushed >= 20
+    assert validate(DistanceTable([[0, -1], [-1, 0]])).witness == (0, 1, 0)
+
+
+def test_validate_matches_the_full_scan_up_to_40_points():
+    rng = random.Random(231)
+    seen = Counter()
+    for n in (2, 3, 5, 8, 13, 21, 32, 40):
+        bases = [
+            band_grid(rng, n, rng.randint(1, 9), True),
+            band_grid(rng, n, rng.randint(1, 9), False),
+            cycle_grid(n),
+            distinct_grid(rng, n),
+        ]
+        if n in (2, 8, 32):
+            bases.append(cube_grid(n.bit_length() - 1))
+        for grid in bases:
+            for g in (grid, perturbed(rng, grid)):
+                table = DistanceTable(g)
+                res = validate(table)
+                assert (int(res.level), res.witness) == scan_validate(table)
+                seen[int(res.level)] += 1
+    assert seen[0] >= 10 and seen[2] >= 10 and seen[3] >= 30
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the additions of ``validate``'s triangle scans; one scan of n
+    points makes n, through ``metric.add``."""
+    counts = Counter()
+
+    def counted(a, b):
+        counts["add"] += 1
+        return a + b
+
+    monkeypatch.setattr(metric_module, "add", counted)
+    return counts
+
+
+def test_validate_scans_only_pairs_outside_the_bound(scans):
+    rng = random.Random(232)
+    for grid in (band_grid(rng, 24, 5, True), band_grid(rng, 24, 5, False), distinct_grid(rng, 24)):
+        assert validate(DistanceTable(grid)).level >= DistanceClass.SEMIMETRIC
+        assert scans["add"] == 0
+    # on a cycle every off-diagonal bound is 1 + 1, so the pairs at distance
+    # 3 or more are scanned: on the symmetric cycle only those with j >= i
+    n = 32
+    grid = cycle_grid(n)
+    assert validate(DistanceTable(grid)).level == DistanceClass.METRIC
+    far = [(i, j) for i in range(n) for j in range(n) if grid[i][j] > 2]
+    assert scans["add"] == n * len(far) // 2
+    scans.clear()
+    grid = directed_cycle_grid(n)
+    assert validate(DistanceTable(grid)).level == DistanceClass.SEMIMETRIC
+    assert scans["add"] == n * sum(grid[i][j] > 2 for i in range(n) for j in range(n))
