@@ -61,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failing write; one to stdout (--help) goes on to
+        # main, which reports it
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _distance_table(path) -> DistanceTable:
     return DistanceTable(load_matrix(path).entries)

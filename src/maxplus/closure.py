@@ -20,7 +20,9 @@ class StarResult:
     ``converges`` holds exactly when the eigenvalue is <= 0; ``star`` is the
     series limit in that case and ``None`` otherwise.  ``eigenvalue`` is
     computed by :func:`eigenvalue` on the input ``matrix`` the first time it
-    is read, and then kept: deciding convergence does not need it.
+    is read, and then kept: deciding convergence does not need it.  That
+    recurrence stops at the first periodic walk, which certifies the answer
+    exactly: one O(n^2) step on an idempotent, at most O(n^3).
     """
 
     converges: bool
@@ -35,10 +37,30 @@ class StarResult:
 def eigenvalue(a: Matrix) -> Fraction:
     """Maximum cycle mean of the complete digraph weighted by ``a``.
 
-    Karp's recurrence, run exactly on the integer grid of ``a``: with
-    walk[k][v] the best weight of a k-edge walk from node 0 to v, the answer
-    is max_v min_k (walk[n][v] - walk[k][v]) / (n - k).  Means are compared
-    by cross-multiplication, and only the answer becomes a ``Fraction``.
+    Karp's recurrence, run exactly on the integer grid of ``a``: walk[k][v]
+    is the best weight of a k-edge walk from node 0 to v.  It stops at the
+    first periodic walk (the early termination of Hartmann & Orlin, 1993):
+    if walk[k] - walk[k - c] is one constant s on every node, the answer is
+    s / c.  The proof, with B = A^c and y = walk[k - c]:
+
+    - y is a finite left eigenvector of B with eigenvalue s, since
+      walk[k] = walk[k - c] (x) A^c.
+    - Every entry of B is finite (the package has no -inf), so s is the
+      maximum cycle mean of B.  Each y_j >= y_i + b_ij - s; summed around
+      any cycle this says its mean is at most s.  Following back from any
+      node a predecessor i that attains y_j = y_i + b_ij - s closes a cycle
+      on which every edge attains it, so its mean is exactly s.
+    - The maximum cycle mean of A^c is c times that of A: a cycle of A^c is
+      a closed walk of A with c times as many edges, and a critical cycle
+      of A, run c times over, is a closed walk of A^c.
+
+    Idempotents stop at once, as walk[2] = walk[1] when A (x) A = A, so
+    they cost one O(n^2) step.  Each step first compares two entries of the
+    new walk with every earlier walk, O(k), and runs the O(n) comparison
+    only where both agree.  If no walk is periodic by step n, the answer is
+    Karp's max_v min_k (walk[n][v] - walk[k][v]) / (n - k), so the worst
+    case stays O(n^3).  Means are compared by cross-multiplication, and
+    only the answer becomes a ``Fraction``.
     """
     grid, den = square_grid(a)
     n = a.rows
@@ -47,8 +69,18 @@ def eigenvalue(a: Matrix) -> Fraction:
     # complete; walk[0] is 0 at node 0 and -inf elsewhere
     walks = [grid[0]]
     for _ in range(n - 1):
-        prev = walks[-1]
-        walks.append([max(map(add, prev, col)) for col in cols])
+        walk = [max(map(add, walks[-1], col)) for col in cols]
+        for c, earlier in enumerate(reversed(walks), 1):
+            s = walk[0] - earlier[0]
+            if walk[1] - earlier[1] == s and all(x - y == s for x, y in zip(walk, earlier)):
+                return Fraction(s, c * den)
+        walks.append(walk)
+    return _karp_mean(walks, den)
+
+
+def _karp_mean(walks: list, den: int) -> Fraction:
+    """Karp's max_v min_k (walk[n][v] - walk[k][v]) / (n - k), over D = ``den``."""
+    n = len(walks)
     last = walks[-1]
     # a cycle mean is num / length on the scale of the grid, so num / (length * den)
     best_num, best_len = None, 1

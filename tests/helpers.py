@@ -348,6 +348,32 @@ def brute_cycle_mean(a):
     return best
 
 
+def karp_eigenvalue(a):
+    """Maximum cycle mean by Karp's recurrence run for all n steps, with no early exit.
+
+    walk[k][v] is the best weight of a k-edge walk from node 0 to v, and the
+    answer is max_v min_k (walk[n][v] - walk[k][v]) / (n - k), on the
+    integer grid of ``a``.
+    """
+    (grid,), den = int_grids(a)
+    n = a.rows
+    walks = [grid[0]]
+    cols = list(zip(*grid))
+    for _ in range(n - 1):
+        walks.append([max(map(add, walks[-1], col)) for col in cols])
+    last = walks[-1]
+    best = None
+    for v in range(n):
+        worst = Fraction(last[0], n) if v == 0 else None
+        for k in range(1, n):
+            mean = Fraction(last[v] - walks[k - 1][v], n - k)
+            if worst is None or mean < worst:
+                worst = mean
+        if best is None or worst > best:
+            best = worst
+    return best / den
+
+
 def distance_ids(table):
     """The table with each distinct distance replaced by a small int: exact, and fast to compare."""
     ids: dict = {}

@@ -262,12 +262,10 @@ def test_render_to_an_unwritable_path_is_a_usage_error(files, tmp_path, capsys):
         assert capsys.readouterr().err == f"maxplus: cannot write {out}: {reason}\n"
 
 
-def _classify_to(stdout, path, unbuffered):
-    """``python -m maxplus classify PATH`` with stdout on the given file descriptor."""
+def _maxplus_to(stdout, argv, unbuffered):
+    """``python -m maxplus ARGV`` with stdout on the given file descriptor."""
     env = {**os.environ, "PYTHONPATH": str(Path(maxplus.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
-    return subprocess.run(
-        [sys.executable, "-m", "maxplus", "classify", path], stdout=stdout, stderr=subprocess.PIPE, env=env
-    )
+    return subprocess.run([sys.executable, "-m", "maxplus", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
 # unbuffered, print fails at once; buffered, the failure comes at the flush
@@ -275,7 +273,7 @@ def _classify_to(stdout, path, unbuffered):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_disk_on_stdout_is_one_line_and_exit_1(files, unbuffered):
     with open("/dev/full", "w") as full:
-        proc = _classify_to(full, files["hex_sym"], unbuffered)
+        proc = _maxplus_to(full, ["classify", files["hex_sym"]], unbuffered)
     assert proc.returncode == 1
     assert proc.stderr == b"maxplus: cannot write to stdout: No space left on device\n"
 
@@ -285,7 +283,30 @@ def test_closed_pipe_on_stdout_is_one_line_and_exit_1(files, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
-        proc = _classify_to(write_end, files["hex_sym"], unbuffered)
+        proc = _maxplus_to(write_end, ["classify", files["hex_sym"]], unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"maxplus: cannot write to stdout: Broken pipe\n"
+
+
+# argparse drops a failing write of its own; --help must still report it
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_help_on_a_full_disk_is_one_line_and_exit_1(unbuffered):
+    for argv in (["--help"], ["classify", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = _maxplus_to(full, argv, unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == b"maxplus: cannot write to stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_help_on_a_closed_pipe_is_one_line_and_exit_1(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _maxplus_to(write_end, ["eigenvalue", "--help"], unbuffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
