@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, sub
 
 from .errors import ConsistencyError
-from .semiring import Matrix, require_square, square_grid
+from .semiring import Matrix, square_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
 
@@ -130,9 +130,48 @@ def kleene_star(a: Matrix) -> StarResult:
 
 
 def is_idempotent(a: Matrix) -> bool:
-    """Exact test of a*a == a under the tropical product."""
-    require_square(a)
-    return (a @ a) == a
+    """Exact test of A (x) A == A, on the integer grid and without the product.
+
+    Upper half, A (x) A <= A: every a_ik + a_kj <= a_ij.
+
+    - With i = j = k this says a_ii <= 0, so a positive diagonal entry
+      answers False at once.
+    - With every a_ii <= 0, the terms k = i and k = j never exceed a_ij.
+    - Any other k gives a_ik + a_kj <= hi_out[i] + hi_in[j], the largest
+      entries of row i and of column j off the diagonal.  So a pair with
+      a_ij >= hi_out[i] + hi_in[j] cannot fail, and a row whose least
+      a_ij - hi_in[j] is at least hi_out[i] is settled as a whole.
+
+    Lower half, A (x) A >= A: entry (i, j) is reached through k = i when
+    a_ii = 0 and through k = j when a_jj = 0.  Rank-one idempotents x (x) y
+    can have negative diagonal entries, so a pair with a_ii < 0 and
+    a_jj < 0 is not settled by this.
+
+    Every pair settled by neither half gets its product entry, one O(n)
+    maximum, which must equal a_ij; the scan stops at the first pair that
+    fails.  The cost is O(n^2) when the bound settles every row and no
+    diagonal entry is negative, and O(n^3) at worst.
+    """
+    grid, _ = square_grid(a)
+    diag = [row[i] for i, row in enumerate(grid)]
+    if max(diag) > 0:
+        return False
+    if len(grid) == 1:
+        return diag[0] == 0
+    cols = list(zip(*grid))
+    hi_in = [max(col[:j] + col[j + 1 :]) for j, col in enumerate(cols)]
+    negative = [j for j, x in enumerate(diag) if x < 0]
+    for i, row in enumerate(grid):
+        bound = max(row[:i] + row[i + 1 :])
+        slack = list(map(sub, row, hi_in))
+        if min(slack) >= bound:
+            scan = negative if diag[i] < 0 else ()
+        else:
+            scan = [j for j, s in enumerate(slack) if s < bound or diag[i] < 0 and diag[j] < 0]
+        for j in scan:
+            if max(map(add, row, cols[j])) != row[j]:
+                return False
+    return True
 
 
 def star_fixed_point_check(a: Matrix) -> bool:

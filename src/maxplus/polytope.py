@@ -219,7 +219,7 @@ class PolytropeHRep:
 
 def halfspace_rep(e: Matrix) -> PolytropeHRep:
     """Halfspace description of the column space of a zero-diagonal idempotent."""
-    if not is_idempotent(e) or any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])):
+    if any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])) or not is_idempotent(e):
         raise PreconditionError("halfspace_rep requires a zero-diagonal idempotent")
     return PolytropeHRep(e.rows, e.entries)
 

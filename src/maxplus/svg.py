@@ -112,7 +112,7 @@ class _Canvas:
 def _render_band(e: Matrix) -> str:
     # the fixed-point band k <= x - y <= -l describes the column space only
     # for zero-diagonal idempotents
-    if not is_idempotent(e) or any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])):
+    if any(row[i] != 0 for i, row in enumerate(square_grid(e)[0])) or not is_idempotent(e):
         raise PreconditionError("render requires a zero-diagonal idempotent")
     k, l = e[0, 1], e[1, 0]
     one = Fraction(1)

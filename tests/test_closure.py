@@ -1,5 +1,6 @@
 import contextlib
 import io
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from maxplus import (
     star_fixed_point_check,
     validate,
     from_matrix,
+    to_matrix,
     DistanceClass,
 )
 from maxplus.matio import parse_matrix
@@ -25,9 +27,12 @@ from helpers import (
     GOLDEN_IDEMPOTENTS,
     HEX_ASYM,
     brute_cycle_mean,
+    brute_mat_mul,
     cycle_grid,
     karp_eigenvalue,
     rand_matrix,
+    rand_metric,
+    rand_semimetric,
     rand_zero_diag,
     series_star,
     shift_nonpositive,
@@ -183,6 +188,144 @@ def test_is_idempotent_examples():
     assert is_idempotent(Matrix([[0, 0, 0], [-3, 0, 0], [-3, -3, 0]]))
     assert not is_idempotent(Matrix([[0, 0], [0, -1]]))
     assert not is_idempotent(Matrix([[1]]))
+
+
+DENOMINATORS = (1, 2, 3, 7)
+
+
+def scalar(rng, lo, hi):
+    q = rng.choice(DENOMINATORS)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+def hub_matrix(rng, n, q):
+    """-d for distances through a hub, point 0: d(i, j) = s_i + s_j, on multiples of 1/q.
+
+    Each pair of leaves sits exactly at its bound hi_out[i] + hi_in[j], as
+    both maxima are attained at the hub.
+    """
+    s = [Fraction(0)] + [Fraction(rng.randint(q, 6 * q), q) for _ in range(n - 1)]
+    return Matrix([[-(s[i] + s[j]) * (i != j) for j in range(n)] for i in range(n)])
+
+
+def zero_diag(rng, n, lo, hi):
+    return Matrix([[Fraction(0) if i == j else scalar(rng, lo, hi) for j in range(n)] for i in range(n)])
+
+
+def rank_one_idempotent(rng, n):
+    """x (x) y - c with c = max(y_i + x_i): its square is x (x) (y (x) x) (x) y - 2c, itself.
+
+    The diagonal x_i + y_i - c is 0 only where the maximum is attained.
+    """
+    x = [scalar(rng, -6, 6) for _ in range(n)]
+    y = [scalar(rng, -6, 6) for _ in range(n)]
+    c = max(map(operator.add, x, y))
+    return Matrix([[xi + yj - c for yj in y] for xi in x])
+
+
+def at_the_bound(rng, a, q):
+    """``a`` with one off-diagonal entry moved to hi_out[i] + hi_in[j], then by 0 or +-1/q."""
+    n = a.rows
+    grid = [list(row) for row in a.entries]
+    i, j = rng.sample(range(n), 2)
+    bound = max(grid[i][:i] + grid[i][i + 1 :]) + max(grid[k][j] for k in range(n) if k != j)
+    grid[i][j] = bound + Fraction(rng.choice((-1, 0, 1)), q)
+    return Matrix(grid)
+
+
+def settled_rows(a):
+    """Rows i whose every a_ij - hi_in[j] is at least hi_out[i], from the Fraction entries."""
+    grid = a.entries
+    n = len(grid)
+    hi_in = [max(grid[k][j] for k in range(n) if k != j) for j in range(n)]
+    return sum(
+        min(x - h for x, h in zip(row, hi_in)) >= max(row[:i] + row[i + 1 :]) for i, row in enumerate(grid)
+    )
+
+
+def test_is_idempotent_matches_the_product(recurrence):
+    """A randomized oracle: the bound-pruned scan answers what (A (x) A) == A does.
+
+    ``recurrence`` counts ``closure.add``: each pair the scan does not
+    settle by its bounds costs n adds.  A False answer with no positive
+    diagonal entry comes from a scanned pair that failed, and the scan
+    stops there.
+    """
+    rng = random.Random(181)
+    seen = Counter()
+    for t in range(480):
+        n = 1 + t % 12
+        kind = t // 12 % 5
+        if kind == 0:
+            a = Matrix([[scalar(rng, -6, 6) for _ in range(n)] for _ in range(n)])
+        elif kind == 1:
+            a = zero_diag(rng, n, -6, 1)
+        elif kind == 2:
+            a = series_star(zero_diag(rng, min(n, 8), -6, 1))
+        elif kind == 3:
+            a = rank_one_idempotent(rng, n)
+        else:
+            # on a hub matrix over 1/q, a step of 1/q is one unit of the integer grid
+            q = rng.choice(DENOMINATORS)
+            if t % 3 == 0:
+                e = rank_one_idempotent(rng, n)
+            elif t % 3 == 1:
+                e = series_star(zero_diag(rng, min(n, 8), -6, 0))
+            else:
+                e = hub_matrix(rng, n, q)
+            a = at_the_bound(rng, e, q) if e.rows > 1 else e
+        n = a.rows
+        expected = Matrix(brute_mat_mul(a, a)) == a
+        recurrence["add"] = 0
+        assert is_idempotent(a) == expected, a.entries
+        seen[expected] += 1
+        if n == 1 or max(a[i, i] for i in range(n)) > 0:
+            assert recurrence["add"] == 0  # answered before any scan
+            continue
+        pairs, rest = divmod(recurrence["add"], n)
+        assert rest == 0
+        seen["settled rows"] += settled_rows(a)
+        seen["scanned, failed"] += not expected
+        seen["scanned, passed"] += pairs - (not expected)
+        seen["negative diagonal"] += expected and min(a[i, i] for i in range(n)) < 0
+    assert seen[True] >= 150 and seen[False] >= 200, seen
+    assert seen["settled rows"] >= 250 and seen["negative diagonal"] >= 60, seen
+    assert seen["scanned, passed"] >= 3000 and seen["scanned, failed"] >= 80, seen
+
+
+def test_is_idempotent_scans_only_the_pairs_its_bounds_leave(recurrence):
+    """A gate on the scan's pair maxima, n adds each.
+
+    A metric matrix is settled row by row when each distance is at most the
+    nearest-neighbour distances of its two ends summed: distances in
+    [c, 2c], distances through a hub, and the hostile files.  The n-cycle
+    scans its pairs at distance 3 or more, and a positive diagonal entry
+    answers before any scan.
+    """
+    rng = random.Random(182)
+    n = 16
+    band = [[Fraction(0) if i == j else scalar(rng, 5, 10) for j in range(n)] for i in range(n)]
+    cases = [
+        (Matrix([[-x for x in row] for row in band]), True, 0),
+        (hub_matrix(rng, n, 3), True, 0),
+        (hostile_matrix(n), True, 0),
+        (Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)]), False, 0),
+    ]
+    cases += [(Matrix([[-x for x in row] for row in cycle_grid(m)]), True, m * (m - 5)) for m in (8, 16, 32)]
+    for a, answer, pairs in cases:
+        recurrence["add"] = 0
+        assert is_idempotent(a) == answer
+        assert recurrence["add"] == pairs * a.rows
+    # random metrics and semimetrics are not within the bound everywhere
+    for table in (rand_metric(random.Random(215), n), rand_semimetric(random.Random(217), n)):
+        recurrence["add"] = 0
+        assert is_idempotent(to_matrix(table))
+        assert 0 < recurrence["add"] < n * n * n
+
+
+def test_is_idempotent_requires_square():
+    with pytest.raises(ShapeError, match=r"^square matrix required, got 2x3$"):
+        is_idempotent(Matrix([[0, -1, -2], [-1, 0, -1]]))
 
 
 def test_star_fixed_point_examples():

@@ -694,7 +694,7 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     n = 16
     m = to_matrix(rand_metric(random.Random(215), n))
     assert classify(m).is_metric_matrix
-    assert (calls["mat_mul"], calls["_max_assignment"], calls["_project"]) == (1, 1, 2)
+    assert (calls["mat_mul"], calls["_max_assignment"], calls["_project"]) == (0, 1, 2)
     assert calls["eigenvalue"] == 0  # the star decides convergence on its own
     calls.clear()
     hclass_element(m, Permutation.identity(n), 0)
@@ -734,12 +734,13 @@ def test_hclass_contains_on_a_semimetric_matches_keys_only(calls):
     assert hclass_contains(s, s.scale(Fraction(5, 3)))
     assert not hclass_contains(s, Matrix(swapped))
     assert not calls
-    # a witness costs one product (is_idempotent) and one assignment (is_strongly_regular)
+    # a witness costs no product (is_idempotent scans A (x) A <= A without one)
+    # and one assignment (is_strongly_regular)
     t = list(range(n))
     rng.shuffle(t)
     m = Matrix([[s[i, t[j]] + Fraction(j, 7) for j in range(n)] for i in range(n)])
     assert hclass_contains(m, s.scale(-2), idempotent=s)
-    assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+    assert (calls["mat_mul"], calls["_max_assignment"]) == (0, 1)
     assert calls["in_span"] == calls["_project"] == calls["int_vectors"] == calls["membership"] == 0
 
 
@@ -755,7 +756,7 @@ def test_star_computes_the_eigenvalue_only_when_read(calls):
     e = Matrix([[-x for x in row] for row in directed_cycle_grid(n)])
     m = Matrix([[-n if i == j else e[i, j] for j in range(n)] for i in range(n)])
     assert hclass_contains(m, e.scale(Fraction(5, 3)))
-    assert calls["mat_mul"] == 1 and calls["eigenvalue"] == 0  # the star route
+    assert calls["mat_mul"] == calls["eigenvalue"] == 0  # the star route
     calls.clear()
     res = kleene_star(s.scale(Fraction(1, 7)))
     assert not res.converges and res.star is None
@@ -776,14 +777,14 @@ def test_cli_interior_tests_the_point_once(calls, tmp_path, capsys):
 
 
 def test_render_and_negation_closed_check_once(calls):
-    # one product (is_idempotent) and one assignment (is_strongly_regular) each
+    # no product (is_idempotent needs none) and one assignment (is_strongly_regular) each
     for e in GOLDEN_IDEMPOTENTS:
         calls.clear()
         render_matrix(e)
-        assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+        assert (calls["mat_mul"], calls["_max_assignment"]) == (0, 1)
         calls.clear()
         negation_closed(e)
-        assert (calls["mat_mul"], calls["_max_assignment"]) == (1, 1)
+        assert (calls["mat_mul"], calls["_max_assignment"]) == (0, 1)
         assert calls["int_vectors"] == 1  # the three negated columns in one span test
 
 
