@@ -149,7 +149,10 @@ def is_idempotent(a: Matrix) -> bool:
 
     Every pair settled by neither half gets its product entry, one O(n)
     maximum, which must equal a_ij; the scan stops at the first pair that
-    fails.  The cost is O(n^2) when the bound settles every row and no
+    fails.  On a symmetric matrix A (x) A is symmetric too, hi_out equals
+    hi_in, and both rules treat (i, j) and (j, i) alike, so only pairs
+    with j >= i are scanned; symmetry is tested only once some row needs
+    a scan.  The cost is O(n^2) when the bound settles every row and no
     diagonal entry is negative, and O(n^3) at worst.
     """
     grid, _ = square_grid(a)
@@ -161,6 +164,7 @@ def is_idempotent(a: Matrix) -> bool:
     cols = list(zip(*grid))
     hi_in = [max(col[:j] + col[j + 1 :]) for j, col in enumerate(cols)]
     negative = [j for j, x in enumerate(diag) if x < 0]
+    half = None  # whether the matrix is symmetric, once some row needs a scan
     for i, row in enumerate(grid):
         bound = max(row[:i] + row[i + 1 :])
         slack = list(map(sub, row, hi_in))
@@ -168,6 +172,10 @@ def is_idempotent(a: Matrix) -> bool:
             scan = negative if diag[i] < 0 else ()
         else:
             scan = [j for j, s in enumerate(slack) if s < bound or diag[i] < 0 and diag[j] < 0]
+        if scan and half is None:
+            half = list(grid) == cols
+        if half:
+            scan = [j for j in scan if j >= i]
         for j in scan:
             if max(map(add, row, cols[j])) != row[j]:
                 return False

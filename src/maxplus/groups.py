@@ -14,7 +14,13 @@ from operator import sub
 
 from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
-from .metric import DistanceClass, DistanceTable, _table_level, validate
+from .metric import (
+    DistanceClass,
+    DistanceTable,
+    _off_diagonal_minima,
+    _table_level,
+    _triangle_failure,
+)
 from .permutation import Permutation
 from .rank import is_strongly_regular
 from .semiring import Matrix, int_grids, ray_key, scalar, square_grid
@@ -161,6 +167,9 @@ def _require_group(found, n: int) -> list[tuple[int, ...]]:
     return gens
 
 
+_NOT_SEMIMETRIC = "isometry_group requires at least a semimetric table"
+
+
 def isometry_group(table: DistanceTable) -> IsometryGroup:
     """The permutations of the points preserving the (possibly asymmetric) table.
 
@@ -179,15 +188,53 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     isometry.  A success is a new generator, and each one merges two
     orbits, so there are fewer than n generators.  The order is the
     product of the orbit lengths; the elements are listed on demand.
+
+    The table must be a semimetric, as :func:`~maxplus.metric.validate`
+    decides, but its triangle inequality is checked on one row per orbit
+    of the group found, not on every row:
+
+    1. every off-diagonal entry is positive, in O(n^2);
+    2. the triangle scan of :func:`~maxplus.metric.validate` runs on the
+       first point of each profile class (on every row, and on a
+       symmetric table over j >= i only, when every class is one point);
+    3. the search runs;
+    4. the scan runs on the least point of each orbit of the group that
+       holds no row scanned in step 2.  The orbit of 0 is the first
+       level's transversal, so a transitive group needs no orbit pass.
+
+    Orbit invariance: an isometry sigma sends a triple (i, k, j) to
+    (sigma i, sigma k, sigma j) and keeps all three distances, so
+    d(i, j) > d(i, k) + d(k, j) exactly when the same holds at the image.
+    The rows that hold a failing triple are therefore a union of orbits,
+    and one fully scanned row per orbit finds a failure when there is one.
+    The search does not rely on the triangle inequality: it compares
+    distances for equality only, and each leaf is an exactly checked
+    isometry, so the group it finds is that of the table either way.
+
+    Bounded time: after step 1 every off-diagonal entry is positive, and
+    the search's work depends only on which entries are equal.  With
+    c = max d, the table d + c (J - I) has the same equality pattern and
+    is a semimetric, as each off-diagonal entry lies in (c, 2c].  So a
+    table that fails the triangle inequality costs the search no more
+    than some table it would accept.  The checks cost O(n^2) plus one
+    O(n^2) row scan per orbit: O(n^3) at worst, for the trivial group.
     """
-    if validate(table).level < DistanceClass.SEMIMETRIC:
-        raise PreconditionError("isometry_group requires at least a semimetric table")
     n = table.n
+    if n == 1:
+        return IsometryGroup(n=1, levels=())
     d = list(map(list, square_grid(table.values)[0]))
     dt = list(map(list, zip(*d)))
-    # each point's sorted (out, in) distance pairs; the diagonal adds (0, 0) to every one
+    low_out, low_in = _off_diagonal_minima(d), _off_diagonal_minima(dt)
+    if min(low_out) <= 0:
+        raise PreconditionError(_NOT_SEMIMETRIC)
+    # each point's sorted (out, in) distance pairs, labelled by the first
+    # point of its class; the diagonal adds (0, 0) to every one
     profiles: dict = {}
-    cls = [profiles.setdefault(tuple(sorted(zip(d[i], dt[i]))), len(profiles)) for i in range(n)]
+    cls = [profiles.setdefault(tuple(sorted(zip(d[i], dt[i]))), i) for i in range(n)]
+    scanned = list(profiles.values())
+    half = len(scanned) == n and d == dt
+    if _triangle_failure(d, dt, scanned, low_out, low_in, half) is not None:
+        raise PreconditionError(_NOT_SEMIMETRIC)
     key = [(d[0][j], d[j][0], cls[j]) for j in range(n)]
 
     def buckets(a: int) -> dict:
@@ -242,6 +289,17 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
                 unreachable.update(close({j: identity}))
         if len(u) > 1:
             levels.append((i, u))
+    transitive = levels and levels[-1][0] == 0 and len(levels[-1][1]) == n
+    if len(scanned) < n and not transitive:
+        # the least point of each orbit; an orbit lies in one profile
+        # class, and the first point of each class has been scanned
+        least: dict = {}
+        for s in range(n):
+            if s not in least:
+                least.update(dict.fromkeys(close({s: identity}), s))
+        rest = [s for s in range(n) if least[s] == s and cls[s] != s]
+        if _triangle_failure(d, dt, rest, low_out, low_in, False) is not None:
+            raise PreconditionError(_NOT_SEMIMETRIC)
     return IsometryGroup(n=n, generators=map(Permutation, gens), levels=tuple(reversed(levels)))
 
 

@@ -131,11 +131,40 @@ def validate(table: DistanceTable) -> ValidationResult:
     if n == 1:
         return ValidationResult(DistanceClass.METRIC, None)
     cols = list(zip(*d))
-    low_out = [min(row[:i] + row[i + 1 :]) for i, row in enumerate(d)]
-    low_in = [min(col[:j] + col[j + 1 :]) for j, col in enumerate(cols)]
+    low_out, low_in = _off_diagonal_minima(d), _off_diagonal_minima(cols)
     mirrored = [row == col for row, col in zip(d, cols)]
     half = all(mirrored)
+    failure = _triangle_failure(d, cols, range(n), low_out, low_in, half)
+    if failure is not None:
+        return ValidationResult(DistanceClass.NOT_TRIANGLE, failure)
     for i, row in enumerate(d):
+        if low_out[i] <= 0:
+            j = next(j for j, dij in enumerate(row) if j != i and dij <= 0)
+            return ValidationResult(DistanceClass.PRE_SEMIMETRIC, (i, j))
+    if not half:
+        i = mirrored.index(False)
+        j = next(j for j in range(i + 1, n) if d[i][j] != cols[i][j])
+        return ValidationResult(DistanceClass.SEMIMETRIC, (i, j))
+    return ValidationResult(DistanceClass.METRIC, None)
+
+
+def _off_diagonal_minima(grid) -> list:
+    """Package-internal: the least entry of each row of a square grid, its diagonal left out."""
+    return [min(row[:i] + row[i + 1 :]) for i, row in enumerate(grid)]
+
+
+def _triangle_failure(d, cols, rows, low_out, low_in, half) -> tuple[int, int, int] | None:
+    """Package-internal: the first triple (i, k, j) with d(i, j) > d(i, k) + d(k, j), i in ``rows``.
+
+    ``d`` is a square int grid with zero diagonal, ``cols`` its columns,
+    and ``low_out``, ``low_in`` the :func:`_off_diagonal_minima` of both.
+    The rows are scanned in the order given, each over increasing j, or
+    over j >= i only when ``half`` is set; that suffices only when ``d``
+    is symmetric and ``rows`` holds every row.  A pair with
+    d(i, j) - low_in[j] <= low_out[i] is within the bound and is skipped.
+    """
+    for i in rows:
+        row = d[i]
         start = i if half else 0
         bound = low_out[i]
         slack = list(map(sub, row[start:], low_in[start:]))
@@ -146,16 +175,8 @@ def validate(table: DistanceTable) -> ValidationResult:
                 dij, col = row[j], cols[j]
                 if dij > min(map(add, row, col)):
                     k = next(k for k, (a, b) in enumerate(zip(row, col)) if dij > a + b)
-                    return ValidationResult(DistanceClass.NOT_TRIANGLE, (i, k, j))
-    for i, row in enumerate(d):
-        if low_out[i] <= 0:
-            j = next(j for j, dij in enumerate(row) if j != i and dij <= 0)
-            return ValidationResult(DistanceClass.PRE_SEMIMETRIC, (i, j))
-    if not half:
-        i = mirrored.index(False)
-        j = next(j for j in range(i + 1, n) if d[i][j] != cols[i][j])
-        return ValidationResult(DistanceClass.SEMIMETRIC, (i, j))
-    return ValidationResult(DistanceClass.METRIC, None)
+                    return i, k, j
+    return None
 
 
 def _table_level(a: Matrix, grid) -> DistanceClass | None:

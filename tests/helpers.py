@@ -19,7 +19,7 @@ from maxplus.errors import PreconditionError
 from maxplus.groups import _resolve_idempotent
 from maxplus.polytope import in_span
 from maxplus.semiring import int_grids
-from symmetric_tmat import cube_grid, cycle_grid, pairs_grid, uniform_grid  # noqa: F401
+from symmetric_tmat import cube_grid, cycle_grid, pairs_grid, paley_grid, uniform_grid  # noqa: F401
 
 # The three 3x3 golden idempotents: a polytrope with the origin on its
 # boundary, an asymmetric hexagon (a semimetric), and a centrally
@@ -487,12 +487,6 @@ def petersen_grid():
     """Graph distance on 2-subsets of {0..4}: 1 if disjoint, 2 otherwise."""
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     return [[0 if p == q else (1 if not set(p) & set(q) else 2) for q in pairs] for p in pairs]
-
-
-def paley_grid(q):
-    """Distance 1 where j - i is a nonzero square mod the prime q = 1 (mod 4), else 2."""
-    squares = {x * x % q for x in range(1, q)}
-    return [[0 if i == j else 1 if (j - i) % q in squares else 2 for j in range(q)] for i in range(q)]
 
 
 def relabelled(rng, grid, factor):

@@ -8,6 +8,8 @@ FAMILY is one of
   cube     Q_N: the N-cube's Hamming metric on 2^N points; order 2^N N!
   pairs    N disjoint pairs: 2N points at distance 1 within a pair and
            2 across; order 2^N N!
+  paley    the Paley graph's distance on N points, N a prime = 1 (mod 4):
+           1 where j - i is a nonzero square mod N, else 2; order N(N-1)/2
 
 These are the symmetric families whose isometry groups must be found from
 a stabiliser chain rather than listed: at the parse cap of 128 points the
@@ -33,7 +35,18 @@ def pairs_grid(m):
     return [[0 if i == j else 1 if i // 2 == j // 2 else 2 for j in range(2 * m)] for i in range(2 * m)]
 
 
-FAMILIES = {"uniform": uniform_grid, "cycle": cycle_grid, "cube": cube_grid, "pairs": pairs_grid}
+def paley_grid(q):
+    squares = {x * x % q for x in range(1, q)}
+    return [[0 if i == j else 1 if (j - i) % q in squares else 2 for j in range(q)] for i in range(q)]
+
+
+FAMILIES = {
+    "uniform": uniform_grid,
+    "cycle": cycle_grid,
+    "cube": cube_grid,
+    "pairs": pairs_grid,
+    "paley": paley_grid,
+}
 
 
 def main(family: str, n: int) -> None:

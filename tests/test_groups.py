@@ -29,6 +29,7 @@ from maxplus import (
     to_matrix,
     validate,
 )
+import maxplus.groups as groups_module
 from maxplus.groups import _require_group
 
 from helpers import (
@@ -300,6 +301,184 @@ def test_isometry_group_orders_at_scale(grid, order):
     columns_agree = all(row[0] == row[1] for row in grid[2:])
     assert (swap in group) == (rows_agree and columns_agree)
     assert group._listing is None
+
+
+@pytest.fixture
+def row_scans(monkeypatch):
+    """Records each call of ``isometry_group``'s triangle scan: its rows and its answer."""
+    calls = []
+    scan = groups_module._triangle_failure
+
+    def recorded(d, cols, rows, *bounds):
+        rows = list(rows)
+        failure = scan(d, cols, rows, *bounds)
+        calls.append((rows, failure))
+        return failure
+
+    monkeypatch.setattr(groups_module, "_triangle_failure", recorded)
+    return calls
+
+
+def search_nodes(table):
+    """``isometry_group(table)`` and the number of search nodes it visited, or its error."""
+    consts = groups_module.isometry_group.__code__.co_consts
+    extend = next(c for c in consts if getattr(c, "co_name", "") == "extend")
+    nodes = 0
+
+    def profile(frame, event, _):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code is extend
+
+    sys.setprofile(profile)
+    try:
+        return isometry_group(table), nodes
+    except PreconditionError as err:
+        return err, nodes
+    finally:
+        sys.setprofile(None)
+
+
+def split_class_grid(m, first, second, apart):
+    """Two m-point circulant blocks ``apart`` from each other.
+
+    Offset t has distance ``first[t - 1]`` in the first block and
+    ``second[t - 1]`` in the second, for t up to m // 2.  When the second
+    pattern permutes the first among the offsets below m / 2, every point
+    has the same profile, so all 2m points share one profile class.
+    """
+    patterns = (first, second)
+
+    def distance(i, j):
+        if i // m != j // m:
+            return apart
+        return 0 if i == j else patterns[i // m][min((i - j) % m, (j - i) % m) - 1]
+
+    return [[distance(i, j) for j in range(2 * m)] for i in range(2 * m)]
+
+
+# all 12 points in one class, and only the second block fails: 1 + 1 < 4
+SPLIT_BROKEN = split_class_grid(6, (4, 1, 5), (1, 4, 5), 10)
+SPLIT_VALID = split_class_grid(6, (4, 1, 5), (4, 1, 5), 10)
+
+
+def split_class_tables(rng, count):
+    """Random split-class tables, each followed by its valid twin.
+
+    The first block is valid, and the second permutes its pattern so that
+    the second block fails the triangle inequality.
+    """
+    while count:
+        m = rng.randint(5, 8)
+        first = [rng.randint(1, 6) for _ in range(m // 2)]
+        second = first[: (m - 1) // 2]
+        rng.shuffle(second)
+        second += first[len(second) :]
+        top = 2 * max(first)
+        blocks = [DistanceTable(split_class_grid(m, p, p, top)) for p in (first, second)]
+        if [validate(t).level >= DistanceClass.SEMIMETRIC for t in blocks] == [True, False]:
+            count -= 1
+            yield split_class_grid(m, first, second, top)
+            yield split_class_grid(m, first, first, top)
+
+
+NOT_SEMIMETRIC = r"^isometry_group requires at least a semimetric table$"
+
+DISTANCE_MAPS = {
+    "square": lambda t, c: t * t,
+    "power": lambda t, c: 2**t,
+    "shift": lambda t, c: t + c,
+    "piecewise": lambda t, c: t if t < 2 else t + c,
+}
+
+
+def orbit_oracle_tables(rng):
+    """The split-class tables, then the known families under the maps, perturbed and relabelled."""
+    for grid in (SPLIT_BROKEN, SPLIT_VALID, *split_class_tables(rng, 24)):
+        yield relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    families = (
+        lambda: cycle_grid(rng.randint(5, 12)),
+        lambda: cube_grid(rng.randint(2, 4)),
+        petersen_grid,
+        lambda: uniform_grid(rng.randint(3, 6)),
+        lambda: paley_grid(13),
+        lambda: directed_cycle_grid(rng.randint(4, 10)),
+    )
+    for k in range(300):
+        grid = families[k % 6]()
+        n = len(grid)
+        if k // 6 % 5:
+            name = rng.choice(sorted(DISTANCE_MAPS))
+            c = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            grid = [[DISTANCE_MAPS[name](t, c) if t else t for t in row] for row in grid]
+        grid = [list(row) for row in grid]
+        i, j = rng.sample(range(n), 2)
+        change = rng.random()
+        if change < 0.2:  # one broken symmetric pair
+            grid[i][j] = grid[j][i] = rng.choice((grid[i][j] * 3, Fraction(grid[i][j], 3), grid[i][j] + 1))
+        elif change < 0.3:  # one broken direction
+            grid[i][j] += rng.choice((-1, 1)) * Fraction(1, 2)
+        elif change < 0.4:  # a zero or negative distance
+            grid[i][j] = rng.choice((0, -1))
+        yield relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+
+
+def test_isometry_group_raises_exactly_when_validate_rejects(row_scans):
+    """A randomized oracle for the one-row-per-orbit check.
+
+    ``isometry_group`` must raise exactly when ``validate`` finds no
+    semimetric, and otherwise give the listing search's order; the rows it
+    scans must meet every orbit of that listing.  Each rejection is
+    counted by the step that made it: the positivity check (no scan), the
+    scan of one row per profile class (the first scan), or the scan of
+    one row per orbit after the search (the second).
+    """
+    rng = random.Random(1919)
+    seen = Counter()
+    for table in orbit_oracle_tables(rng):
+        row_scans.clear()
+        rejected = validate(table).level < DistanceClass.SEMIMETRIC
+        if rejected:
+            with pytest.raises(PreconditionError, match=NOT_SEMIMETRIC):
+                isometry_group(table)
+            assert row_scans == [] or row_scans[-1][1] is not None
+            seen[("positivity", "class rows", "orbit rows")[len(row_scans)]] += 1
+            continue
+        group = isometry_group(table)
+        expected = listing_isometries(table)
+        assert group.order == len(expected)
+        assert all(failure is None for _, failure in row_scans)
+        scanned = {i for rows, _ in row_scans for i in rows}
+        assert all(scanned & {p[x] for p in expected} for x in range(table.n))
+        seen["accepted", len(row_scans)] += 1
+    assert seen["positivity"] >= 15 and seen["class rows"] >= 100 and seen["orbit rows"] >= 10, seen
+    assert seen["accepted", 1] >= 90 and seen["accepted", 2] >= 15, seen
+
+
+def test_isometry_group_scans_one_row_per_orbit(row_scans):
+    """A gate on the rows given to the triangle scan.
+
+    Vertex-transitive tables have one profile class and one orbit, so one
+    row is scanned; a table that fails the triangle inequality there is
+    refused before the search visits a node.
+    """
+    for grid in (cycle_grid(32), cube_grid(5), uniform_grid(12), petersen_grid(), paley_grid(13)):
+        row_scans.clear()
+        group, nodes = search_nodes(DistanceTable(grid))
+        assert isinstance(group, IsometryGroup) and nodes > 0
+        assert [rows for rows, _ in row_scans] == [[0]]
+    squared = [[t * t for t in row] for row in cycle_grid(32)]
+    wide = [[3 if t == 2 else t for t in row] for row in paley_grid(13)]
+    for grid in (squared, wide):
+        row_scans.clear()
+        err, nodes = search_nodes(DistanceTable(grid))
+        assert isinstance(err, PreconditionError) and nodes == 0
+        assert [rows for rows, _ in row_scans] == [[0]]
+    # the split-class table: one class row, then the second block's least point
+    row_scans.clear()
+    err, nodes = search_nodes(DistanceTable(SPLIT_BROKEN))
+    assert isinstance(err, PreconditionError) and nodes > 0
+    assert [rows for rows, _ in row_scans] == [[0], [6]]
+    assert isometry_group(DistanceTable(SPLIT_VALID)).order == 288
 
 
 def test_len_and_truth_at_large_orders():
