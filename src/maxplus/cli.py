@@ -164,8 +164,6 @@ def _build_parser() -> _Parser:
         p.add_argument("file", help="matrix file (tmat format)")
         if decimal:
             p.add_argument("--decimal", action="store_true", help="display as decimals")
-        else:
-            p.set_defaults(decimal=False)
         p.set_defaults(func=func)
         return p
 

@@ -21,7 +21,7 @@ from .metric import (
     _table_level,
     _triangle_failure,
 )
-from .permutation import Permutation
+from .permutation import Permutation, invert
 from .rank import is_strongly_regular
 from .semiring import Matrix, int_grids, ray_key, scalar, square_grid
 
@@ -134,10 +134,7 @@ def _require_group(found, n: int) -> list[tuple[int, ...]]:
         # a finite nonempty set closed under composition holds the identity
         raise ConsistencyError("isometry set is not closed under composition")
     for p in members:
-        inv = [0] * n
-        for i, img in enumerate(p):
-            inv[img] = i
-        if tuple(inv) not in members:
+        if invert(p) not in members:
             raise ConsistencyError("isometry set is not closed under inversion")
 
     gens: list[tuple[int, ...]] = []
@@ -340,7 +337,7 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     """
     lam = scalar(lam)
     grid, den = square_grid(d)
-    if _table_level(d, grid) != DistanceClass.METRIC:
+    if _table_level(d) != DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
@@ -367,7 +364,7 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     if not (e.is_square and n.is_square and e.rows == n.rows):
         raise ShapeError("hclass_decompose requires square matrices of equal size")
     (ge, gn), den = int_grids(e, n)
-    if _table_level(e, ge) != DistanceClass.METRIC:
+    if _table_level(e) != DistanceClass.METRIC:
         raise PreconditionError("hclass_decompose requires a metric matrix")
     images = [col.index(max(col)) for col in zip(*gn)]
     if len(set(images)) != len(images) or not _is_isometry(ge, images):
@@ -423,9 +420,8 @@ def hclass_contains(m: Matrix, n: Matrix, idempotent: Matrix | None = None) -> b
     given = (m, n) if idempotent is None else (m, n, idempotent)
     if not all(a.is_square and a.rows == m.rows for a in given):
         raise ShapeError("hclass_contains requires square matrices of equal size")
-    (grid,), _ = int_grids(m)
     semimetric = (DistanceClass.SEMIMETRIC, DistanceClass.METRIC)
-    if idempotent is None and _table_level(m, grid) in semimetric:
+    if idempotent is None and _table_level(m) in semimetric:
         e = m
     else:
         e = _resolve_idempotent(m, idempotent)

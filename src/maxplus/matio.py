@@ -18,7 +18,7 @@ columns, and each entry's numerator and denominator at most
 ``MAX_ENTRY_BITS`` bits.  The caps bound each entry, not the common
 denominator D that the kernels work over: coprime denominators multiply,
 so D can reach about n^2 * 128 bits, and every kernel step costs time in
-the bits of D.  A cap on D is an open item (ROADMAP item 1(b)).  The same
+the bits of D.  A cap on D is an open item (ROADMAP item 2).  The same
 caps hold for the scalars and points given on the command line
 (:func:`parse_scalar`, :func:`parse_point`).
 """
@@ -57,8 +57,8 @@ def format_scalar(x, decimal: bool = False) -> str:
     return str(x)
 
 
-def format_vector(x: Vector, decimal: bool = False, sep: str = " ") -> str:
-    return sep.join(format_scalar(e, decimal) for e in x)
+def format_vector(x: Vector, decimal: bool = False) -> str:
+    return " ".join(format_scalar(e, decimal) for e in x)
 
 
 def parse_scalar(token: str, line=None, what: str = "value") -> Fraction:

@@ -179,13 +179,13 @@ def _triangle_failure(d, cols, rows, low_out, low_in, half) -> tuple[int, int, i
     return None
 
 
-def _table_level(a: Matrix, grid) -> DistanceClass | None:
+def _table_level(a: Matrix) -> DistanceClass | None:
     """Package-internal: the ``validate`` level of the table -a.
 
-    ``a`` is a square ``Matrix`` with int grid ``grid``; the answer is
-    ``None`` when its diagonal is nonzero, so that -a is no table.
+    ``a`` is a square ``Matrix``; the answer is ``None`` when its diagonal
+    is nonzero, so that -a is no table.
     """
-    if any(row[i] != 0 for i, row in enumerate(grid)):
+    if any(row[i] != 0 for i, row in enumerate(square_grid(a)[0])):
         return None
     return validate(DistanceTable._wrap(-a)).level
 
@@ -241,13 +241,14 @@ def classify(a: Matrix) -> ClassificationReport:
     kleene_fixed = star.converges and star.star == a
     sr = is_strongly_regular(a)
     off_neg = all(e < 0 for i, row in enumerate(grid) for j, e in enumerate(row) if i != j)
-    symmetric = a == a.transpose()
+    at = a.transpose()
+    symmetric = a == at
     cols_zero = all(max(row) == 0 for row in grid)
     rows_zero = all(max(col) == 0 for col in zip(*grid))
     origin_col = _origin_interior(a, sr, idem)
-    origin_row = _origin_interior(a.transpose(), sr, idem)
+    origin_row = _origin_interior(at, sr, idem)
 
-    level = _table_level(a, grid)
+    level = _table_level(a)
     semi = level is not None and level >= DistanceClass.SEMIMETRIC
 
     equivalents = {

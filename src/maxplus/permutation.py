@@ -66,10 +66,7 @@ class Permutation:
         return Permutation(self._images[other._images[i]] for i in range(self.n))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self._images):
-            inv[img] = i
-        return Permutation(inv)
+        return Permutation(invert(self._images))
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self._images))
@@ -90,3 +87,11 @@ class Permutation:
                 i = self._images[i]
             parts.append("(" + " ".join(str(c) for c in cyc) + ")")
         return "".join(parts) if parts else "id"
+
+
+def invert(images) -> tuple[int, ...]:
+    """Package-internal: the images of the inverse of the permutation with ``images``."""
+    inv = [0] * len(images)
+    for i, img in enumerate(images):
+        inv[img] = i
+    return tuple(inv)

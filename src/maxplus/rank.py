@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError
-from .permutation import Permutation
+from .permutation import Permutation, invert
 from .semiring import Matrix, scalar, square_grid
 
 __all__ = [
@@ -99,9 +99,7 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
     in-degree 0, and a cycle remains exactly when some row is never peeled.
     """
     n = len(cost)
-    owner = [0] * n
-    for i, j in enumerate(images):
-        owner[j] = i
+    owner = invert(images)
     succs = []
     indegree = [0] * n
     for i in range(n):

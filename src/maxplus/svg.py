@@ -40,9 +40,9 @@ class _Canvas:
     def __init__(self, xs, ys):
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
+        # pad > 0: a band spans at least 2, and a strongly regular 3x3
+        # polytrope has three distinct projective columns
         pad = max(xmax - xmin, ymax - ymin) * _PAD_RATIO
-        if pad == 0:
-            pad = Fraction(1)
         self.xmin, self.xmax = xmin - pad, xmax + pad
         self.ymin, self.ymax = ymin - pad, ymax + pad
         self.width = (self.xmax - self.xmin) * _SCALE
@@ -55,12 +55,15 @@ class _Canvas:
     def py(self, y) -> Fraction:
         return (self.ymax - y) * _SCALE
 
-    def line(self, p, q, color, width):
+    def segment(self, x1, y1, x2, y2, color, width):
+        """A ``<line>`` between two points given in pixels."""
         self.parts.append(
-            f'<line x1="{_fmt(self.px(p[0]))}" y1="{_fmt(self.py(p[1]))}" '
-            f'x2="{_fmt(self.px(q[0]))}" y2="{_fmt(self.py(q[1]))}" '
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="{color}" stroke-width="{width}"/>'
         )
+
+    def line(self, p, q, color, width):
+        self.segment(self.px(p[0]), self.py(p[1]), self.px(q[0]), self.py(q[1]), color, width)
 
     def polygon(self, points):
         coords = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in points)
@@ -77,11 +80,7 @@ class _Canvas:
         cx, cy = self.px(p[0]), self.py(p[1])
         arm = 5
         for dx, dy in ((1, 1), (1, -1)):
-            self.parts.append(
-                f'<line x1="{_fmt(cx - arm * dx)}" y1="{_fmt(cy - arm * dy)}" '
-                f'x2="{_fmt(cx + arm * dx)}" y2="{_fmt(cy + arm * dy)}" '
-                f'stroke="#000000" stroke-width="2"/>'
-            )
+            self.segment(cx - arm * dx, cy - arm * dy, cx + arm * dx, cy + arm * dy, "#000000", 2)
 
     def grid(self):
         # one line per data unit, or per whole number of units on wide canvases

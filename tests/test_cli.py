@@ -165,6 +165,9 @@ def test_interior_negative_point(files, capsys):
 
 def test_hclass_rejects_non_isometry(files, capsys):
     assert main(["hclass", files["hex_sym"], "--perm", "2 1 3"]) == 3
+    capsys.readouterr()
+    assert main(["hclass", files["hex_sym"], "--perm", "1 2"]) == 3
+    assert capsys.readouterr().err == "maxplus: permutation degree does not match the matrix size\n"
 
 
 def test_render_matches_golden(files, capsys):
@@ -215,6 +218,14 @@ def test_render_rejects_large_matrices(files, capsys):
     out = files["dir"] / "no.svg"
     assert main(["render", files["claw"], "-o", str(out)]) == 3
     assert "n <= 3" in capsys.readouterr().err
+
+
+def test_render_refusals_name_the_precondition():
+    with pytest.raises(PreconditionError, match="^render needs a 2x2 or 3x3 matrix$"):
+        render_matrix(Matrix([[0]]))
+    # a 3x3 matrix whose square has 1 on the diagonal: not idempotent
+    with pytest.raises(PreconditionError, match="^render requires a strongly regular idempotent$"):
+        render_matrix(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
 
 def test_render_refuses_large_matrices_before_their_integer_view():

@@ -71,6 +71,8 @@ def test_permutation_basics():
     assert Permutation.identity(4).cycle_notation() == "id"
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+    with pytest.raises(ValueError, match="^cannot compose permutations of different degree$"):
+        SWAP23 * Permutation([1, 0])
 
 
 def test_permutation_images_must_be_ints():
@@ -640,6 +642,8 @@ def test_hclass_element_errors():
         hclass_element(HEX_SYM, Permutation([1, 0, 2]), 0)
     with pytest.raises(PreconditionError, match="metric"):
         hclass_element(HEX_ASYM, Permutation.identity(3), 0)
+    with pytest.raises(ShapeError, match="^permutation degree does not match the matrix size$"):
+        hclass_element(HEX_SYM, Permutation([1, 0]), 0)
 
 
 def test_hclass_contains_examples():

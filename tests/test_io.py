@@ -76,6 +76,17 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(MatrixParseError):
         parse_matrix("tmat 1\n2 2\n0 0\n")  # missing a row
 
+    with pytest.raises(MatrixParseError, match="^line 2: missing dimensions line$"):
+        parse_matrix("tmat 1\n")
+
+    # "e1.5" is no integer exponent, so Fraction judges the whole token
+    with pytest.raises(MatrixParseError, match="^line 3: bad entry '1e1.5'$"):
+        parse_matrix("tmat 1\n1 1\n1e1.5\n")
+
+
+def test_parse_ignores_trailing_blank_lines():
+    assert parse_matrix("tmat 1\n1 2\n5 -1/2\n\n  \n\n") == Matrix([[5, "-1/2"]])
+
 
 def test_parse_caps_dimensions():
     for dims in (f"{MAX_DIM + 1} 1", f"1 {MAX_DIM + 1}"):

@@ -102,9 +102,15 @@ def test_project_onto_boundary_law():
             assert not interior_point(e, y)
 
 
+# strongly regular (the permanent 2 is attained only by the swap), not idempotent
+SWAP_NOT_IDEMPOTENT = Matrix([[0, 1], [1, 0]])
+
+
 def test_project_onto_requires_strong_regularity():
     with pytest.raises(PreconditionError):
         project_onto(Matrix([[0, 0], [0, 0]]), Vector([0, 0]))
+    with pytest.raises(PreconditionError, match="^project_onto requires an idempotent matrix$"):
+        project_onto(SWAP_NOT_IDEMPOTENT, Vector([0, 0]))
 
 
 def test_interior_point_examples():
@@ -146,6 +152,8 @@ def test_extremal_columns_requires_idempotent():
 def test_extremal_indices_general():
     gens = [Vector([0, 0]), Vector([2, 2]), Vector([0, -3])]
     assert extremal_indices(gens) == [0, 2]  # second is a scaling of the first
+    with pytest.raises(PreconditionError, match="^extremal_indices requires at least one vector$"):
+        extremal_indices([])
 
 
 def test_duality_map_examples():
@@ -173,9 +181,13 @@ def test_negation_closed():
     assert negation_closed(Matrix([[0]]))
     with pytest.raises(PreconditionError):
         negation_closed(Matrix([[0, 0], [0, 0]]))
+    with pytest.raises(PreconditionError, match="^negation_closed requires an idempotent matrix$"):
+        negation_closed(SWAP_NOT_IDEMPOTENT)
 
 
 def test_halfspace_rep_golden():
+    from maxplus import ShapeError
+
     rep = halfspace_rep(HEX_ASYM)
     # generators reported in the picture satisfy all constraints
     for col in HEX_ASYM.column_vectors():
@@ -183,6 +195,9 @@ def test_halfspace_rep_golden():
     assert not rep.contains(Vector([9, 0, 0]))
     trivial = halfspace_rep(Matrix([[0]]))
     assert trivial.contains(Vector([17]))
+    band = halfspace_rep(Matrix([[0, -1], [-2, 0]]))
+    with pytest.raises(ShapeError, match="^expected a vector of length 2, got 3$"):
+        band.contains(Vector([0, 0, 0]))
 
 
 def test_halfspace_rep_projected_bounds():

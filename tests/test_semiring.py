@@ -31,6 +31,8 @@ def test_scalar_parsing():
         scalar("wibble")
     with pytest.raises(ValueError):
         scalar("1/0")
+    with pytest.raises(TypeError, match="^scalar does not accept bool$"):
+        scalar(True)
 
 
 def test_ext_scalar_parsing():
@@ -86,6 +88,8 @@ def test_vector_basics():
     assert -v == Vector([0, "3/2", -2])
     with pytest.raises(ShapeError):
         Vector([])
+    with pytest.raises(ShapeError, match="^a vector needs at least one entry$"):
+        Vector.zeros(0)
 
 
 def test_vector_partial_order():
@@ -193,6 +197,8 @@ def test_matrix_construction_and_accessors():
     assert m.column_vectors() == [Vector([0, 2]), Vector([-1, "3/2"])]
     with pytest.raises(ShapeError):
         Matrix([[0, 1], [2]])
+    with pytest.raises(ShapeError, match="^a matrix needs at least one row and one column$"):
+        Matrix([])
     with pytest.raises(ValueError):
         Matrix([[0, "-inf"]])
 
@@ -210,6 +216,8 @@ def test_matrix_oplus_and_scale():
     b = Matrix([[1, -3], [4, 2]])
     assert a.oplus(b) == Matrix([[1, -1], [5, 2]])
     assert a.scale("1/2") == Matrix([["1/2", "-1/2"], ["11/2", "5/2"]])
+    with pytest.raises(ShapeError, match="^matrix shapes differ$"):
+        a.oplus(Matrix([[1, -3]]))
 
 
 def test_mat_vec():
