@@ -21,8 +21,9 @@ class StarResult:
     series limit in that case and ``None`` otherwise.  ``eigenvalue`` is
     computed by :func:`eigenvalue` on the input ``matrix`` the first time it
     is read, and then kept: deciding convergence does not need it.  That
-    recurrence stops at the first periodic walk, which certifies the answer
-    exactly: one O(n^2) step on an idempotent, at most O(n^3).
+    policy iteration stops at the first round that certifies the answer
+    exactly: one O(n^2) round on the negation of a distance table that
+    satisfies the triangle inequality, at most O(n^3).
     """
 
     converges: bool
@@ -37,45 +38,107 @@ class StarResult:
 def eigenvalue(a: Matrix) -> Fraction:
     """Maximum cycle mean of the complete digraph weighted by ``a``.
 
-    Karp's recurrence, run exactly on the integer grid of ``a``: walk[k][v]
-    is the best weight of a k-edge walk from node 0 to v.  It stops at the
-    first periodic walk (the early termination of Hartmann & Orlin, 1993):
-    if walk[k] - walk[k - c] is one constant s on every node, the answer is
-    s / c.  The proof, with B = A^c and y = walk[k - c]:
+    Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick
+    & Quadrat, "Numerical computation of spectral elements in max-plus
+    algebra", 1998), run exactly on the integer grid of ``a``.  A policy
+    picks one successor pi(i) for every node, starting from the first
+    maximum of row i.  Each round takes the best cycle of the policy, of
+    mean p / q (weight p over q edges), and the bias X of B = q A - p that
+    leads every node along the policy into that cycle (see
+    :func:`_policy_value`).  Then pi(i) moves to the first j attaining
+    max_j (b_ij + X_j), and only where that maximum exceeds X_i.
 
-    - y is a finite left eigenvector of B with eigenvalue s, since
-      walk[k] = walk[k - c] (x) A^c.
-    - Every entry of B is finite (the package has no -inf), so s is the
-      maximum cycle mean of B.  Each y_j >= y_i + b_ij - s; summed around
-      any cycle this says its mean is at most s.  Following back from any
-      node a predecessor i that attains y_j = y_i + b_ij - s closes a cycle
-      on which every edge attains it, so its mean is exactly s.
-    - The maximum cycle mean of A^c is c times that of A: a cycle of A^c is
-      a closed walk of A with c times as many edges, and a critical cycle
-      of A, run c times over, is a closed walk of A^c.
-
-    Idempotents stop at once, as walk[2] = walk[1] when A (x) A = A, so
-    they cost one O(n^2) step.  Each step first compares two entries of the
-    new walk with every earlier walk, O(k), and runs the O(n) comparison
-    only where both agree.  If no walk is periodic by step n, the answer is
-    Karp's max_v min_k (walk[n][v] - walk[k][v]) / (n - k), so the worst
-    case stays O(n^3).  Means are compared by cross-multiplication, and
-    only the answer becomes a ``Fraction``.
+    A round that moves nothing certifies p / q exactly: b_ij + X_j <= X_i
+    for every i and j, so around any cycle of length L and weight W,
+    q W - L p <= 0, that is W / L <= p / q; and the policy's cycle attains
+    p / q.  The first round settles an idempotent with a zero diagonal and
+    no positive entry, the negation of a distance table that satisfies the
+    triangle inequality: its first policy takes only 0 edges, so every
+    cycle of it has p = 0, and the bias is 0 on the nodes led into r and
+    q a_ir on the others, which idempotency keeps above every b_ij + X_j.
+    A round costs O(n^2); if none of n rounds settles, Karp's recurrence
+    walk[k][v], the best weight of a k-edge walk from node 0 to v, runs for
+    n steps and the answer is max_v min_k (walk[n][v] - walk[k][v]) /
+    (n - k), so the worst case stays O(n^3).  Means are compared by
+    cross-multiplication, and only the answer becomes a ``Fraction``.
     """
     grid, den = square_grid(a)
     n = a.rows
+    policy = [row.index(max(row)) for row in grid]
+    scaled = {1: grid}  # q A, for each cycle length q a round has met
+    for _ in range(n):
+        p, q, bias = _policy_value(grid, policy)
+        if q not in scaled:
+            scaled[q] = [[q * x for x in row] for row in grid]
+        stable = True
+        for i, row in enumerate(scaled[q]):
+            top = max(map(add, row, bias))
+            if top - p > bias[i]:
+                policy[i] = list(map(add, row, bias)).index(top)
+                stable = False
+        if stable:
+            return Fraction(p, q * den)
     cols = list(zip(*grid))
     # walks[k - 1][v] = walk[k][v] for k = 1..n, all finite as the digraph is
     # complete; walk[0] is 0 at node 0 and -inf elsewhere
     walks = [grid[0]]
     for _ in range(n - 1):
-        walk = [max(map(add, walks[-1], col)) for col in cols]
-        for c, earlier in enumerate(reversed(walks), 1):
-            s = walk[0] - earlier[0]
-            if walk[1] - earlier[1] == s and all(x - y == s for x, y in zip(walk, earlier)):
-                return Fraction(s, c * den)
-        walks.append(walk)
+        walks.append([max(map(add, walks[-1], col)) for col in cols])
     return _karp_mean(walks, den)
+
+
+def _policy_value(grid, policy: list) -> tuple[int, int, list]:
+    """The best cycle of ``policy``, of weight p over q edges, and its bias X.
+
+    Every walk along the policy ends in a cycle.  The cycle of greatest
+    mean p / q (the first found, on ties) is kept, with r its node first
+    reached.  Every node whose walk ends in another cycle is pointed at r
+    instead, so that ``policy`` (changed in place) leads every node into
+    r's cycle.  Then X_r = 0 and X_i = q a_i,pi(i) - p + X_pi(i) for every
+    other node, which is consistent around r's cycle, whose weight in
+    q A - p is 0.  O(n).
+    """
+    n = len(grid)
+    walk_of = [None] * n  # the start of the walk that first reached each node
+    ends, cycles = [], []  # ends[start]: the index in ``cycles`` its walk ends in
+    for start in range(n):
+        v = start
+        while walk_of[v] is None:
+            walk_of[v] = start
+            last, v = v, policy[v]
+        if walk_of[v] != start:  # the walk ran into an earlier one
+            ends.append(ends[walk_of[v]])
+            continue
+        weight, length, u = grid[last][v], 1, v
+        while u != last:
+            weight += grid[u][policy[u]]
+            length += 1
+            u = policy[u]
+        ends.append(len(cycles))
+        cycles.append((weight, length, v))
+    best = 0
+    for k, (weight, length, _) in enumerate(cycles):
+        if weight * cycles[best][1] > cycles[best][0] * length:
+            best = k
+    p, q, r = cycles[best]
+    bias = [None] * n
+    bias[r] = 0
+    if len(cycles) > 1:
+        for u in range(n):
+            if ends[walk_of[u]] != best:
+                policy[u] = r
+                bias[u] = q * grid[u][r] - p
+    for start in range(n):
+        if bias[start] is not None:
+            continue
+        path, v = [], start
+        while bias[v] is None:
+            path.append(v)
+            v = policy[v]
+        x = bias[v]
+        for u in reversed(path):
+            x = bias[u] = q * grid[u][policy[u]] - p + x
+    return p, q, bias
 
 
 def _karp_mean(walks: list, den: int) -> Fraction:

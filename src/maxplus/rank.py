@@ -34,58 +34,81 @@ class PermanentResult:
 
 
 def _max_assignment(cost):
-    """Maximum-weight assignment via the O(n^3) potentials method, exactly.
+    """Minimum-cost assignment via the O(n^3) potentials method, exactly.
 
-    Runs the shortest-augmenting-path Hungarian algorithm on ``cost``, the
-    negated integer weights.  Returns (column-of-row images, u, v) where the
-    potentials satisfy u[i] + v[j] <= cost[i][j] with equality on matched
-    pairs, so the tight edges carry every optimal permutation.
+    ``cost`` holds the negated integer weights, so this is the maximum-weight
+    assignment.  Returns (column-of-row images, u, v) where the potentials
+    satisfy u[i] + v[j] <= cost[i][j] with equality on matched pairs, so the
+    tight edges carry every optimal permutation.
+
+    A column reduction (Jonker & Volgenant, "A shortest augmenting path
+    algorithm for dense and sparse linear assignment problems", 1987)
+    starts it: u = 0, v[j] is the least cost in column j, and column j is
+    matched to its first least row when that row is still free.  This dual
+    is feasible and tight on the matched pairs, so only the rows left free
+    run the shortest-augmenting-path Hungarian step, O(n^2) each.  A zero
+    diagonal with positive costs elsewhere (the negation of a semimetric
+    matrix) is matched in full by the reduction, in O(n^2).
     """
     n = len(cost)
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     p = [n] * (n + 1)  # p[j] = row matched to column j; column n is virtual
-    way = [n] * (n + 1)
+    matched = [False] * n
+    for j, col in enumerate(zip(*cost)):
+        v[j] = low = min(col)
+        i = col.index(low)
+        if not matched[i]:
+            matched[i] = True
+            p[j] = i
     for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = [None] * (n + 1)  # the first scan from row i sets every column
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = None
-            j1 = None
-            row = cost[i0]
-            ui = u[i0]
-            for j in range(n):
-                if used[j]:
-                    continue
-                cur = row[j] - ui - v[j]
-                m = minv[j]
-                if m is None or cur < m:
-                    minv[j] = m = cur
-                    way[j] = j0
-                if delta is None or m < delta:
-                    delta = m
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == n:
-                break
-        while j0 != n:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+        if not matched[i]:
+            _augment(cost, u, v, p, i)
     images = [0] * n
     for j in range(n):
         images[p[j]] = j
     return images, u[:n], v[:n]
+
+
+def _augment(cost, u, v, p, i) -> None:
+    """Match free row ``i`` along a shortest augmenting path, updating u, v and p in place."""
+    n = len(cost)
+    p[n] = i
+    j0 = n
+    minv = [None] * (n + 1)  # the first scan from row i sets every column
+    used = [False] * (n + 1)
+    way = [n] * (n + 1)
+    while True:
+        used[j0] = True
+        i0 = p[j0]
+        delta = None
+        j1 = None
+        row = cost[i0]
+        ui = u[i0]
+        for j in range(n):
+            if used[j]:
+                continue
+            cur = row[j] - ui - v[j]
+            m = minv[j]
+            if m is None or cur < m:
+                minv[j] = m = cur
+                way[j] = j0
+            if delta is None or m < delta:
+                delta = m
+                j1 = j
+        for j in range(n + 1):
+            if used[j]:
+                u[p[j]] += delta
+                v[j] -= delta
+            else:
+                minv[j] -= delta
+        j0 = j1
+        if p[j0] == n:
+            break
+    while j0 != n:
+        j1 = way[j0]
+        p[j0] = p[j1]
+        j0 = j1
 
 
 def _second_optimum_exists(cost, images, u, v) -> bool:

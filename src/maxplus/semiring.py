@@ -91,6 +91,33 @@ def scalar(value) -> Fraction:
     raise TypeError(f"scalar requires int, str or Fraction, not {type(value).__name__}")
 
 
+def _int_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer view of equal-length rows of ``Fraction``s: (int rows, least D).
+
+    Each entry is read once, as its (numerator, denominator) pair.  D is the
+    lcm of the distinct denominators, taken as a pairwise product tree:
+    its operands stay balanced, where a running lcm multiplies one large
+    operand by each small one in turn.  D // q is computed once per distinct
+    q and dropped before the next, so beside the result at most one such
+    factor is held.
+    """
+    width = len(rows[0])
+    ratios = [e.as_integer_ratio() for row in rows for e in row]
+    where: dict[int, list[int]] = {}  # denominator -> positions in ``ratios``
+    for k, (_, q) in enumerate(ratios):
+        where.setdefault(q, []).append(k)
+    dens = list(where)
+    while len(dens) > 1:
+        dens = [lcm(*dens[k : k + 2]) for k in range(0, len(dens), 2)]
+    den = dens[0]
+    ints = [0] * len(ratios)
+    for q, positions in where.items():
+        factor = den // q
+        for k in positions:
+            ints[k] = ratios[k][0] * factor
+    return tuple([tuple(ints[k : k + width]) for k in range(0, len(ints), width)]), den
+
+
 class Vector:
     """A point of finite tropical n-space: a fixed-length tuple of rationals.
 
@@ -119,9 +146,8 @@ class Vector:
 
     def _int_view(self):
         if self._ints is None:
-            vals = self._entries
-            den = lcm(*[e.denominator for e in vals])
-            self._ints = tuple([e.numerator * (den // e.denominator) for e in vals]), den
+            (ints,), den = _int_rows([self._entries])
+            self._ints = ints, den
         return self._ints
 
     @classmethod
@@ -267,12 +293,7 @@ class Matrix:
 
     def _int_view(self):
         if self._ints is None:
-            grid = self._grid
-            den = lcm(*[e.denominator for row in grid for e in row])
-            self._ints = (
-                tuple([tuple([e.numerator * (den // e.denominator) for e in row]) for row in grid]),
-                den,
-            )
+            self._ints = _int_rows(self._grid)
         return self._ints
 
     @property

@@ -1,6 +1,6 @@
 """Randomized oracle tests for the integer kernels.
 
-The matrix kernels (product, Karp, star, assignment) and the vector layer
+The matrix kernels (product, eigenvalue, star, assignment) and the vector layer
 (``mat_vec``, residuation, span membership, extremals, ``validate`` and the
 isometry search over distance tables) are checked.  Denominators are drawn
 from the primes up to 47, so the common denominator of a matrix or of a

@@ -1,18 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import maxplus.rank as rank_module
 from maxplus import (
     Matrix,
     Permutation,
     PreconditionError,
     ShapeError,
+    classify,
+    hclass_contains,
     idempotent_family,
     idempotent_rank,
     is_idempotent,
     is_strongly_regular,
     permanent,
+    to_matrix,
     zero_diag_regularity,
 )
 
@@ -21,10 +26,29 @@ from helpers import (
     HEX_SYM,
     TRIANGLE,
     brute_permanent,
+    cycle_grid,
     rand_matrix,
+    rand_metric,
+    rand_semimetric,
     same_column_space,
     star_closed_zero_diag,
 )
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@pytest.fixture
+def augments(monkeypatch):
+    """Counts the rows that the assignment's column reduction leaves to augment."""
+    counts = Counter()
+    augment = rank_module._augment
+
+    def counted(*args):
+        counts["rows"] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(rank_module, "_augment", counted)
+    return counts
 
 
 def test_permanent_examples():
@@ -78,6 +102,61 @@ def test_permanent_uniqueness_under_heavy_ties():
         value, count, _ = brute_permanent(a)
         assert res.value == value
         assert res.attaining_unique == (count == 1)
+
+
+def test_permanent_after_column_reduction_matches_brute_force(augments):
+    """Value, uniqueness flag and witness against enumeration, n <= 7.
+
+    Entries in -2..2 make ties common, in the column minima that the
+    reduction matches and among optimal permutations; prime denominators
+    make them rare.  The reduction matches every row of some matrices and
+    leaves rows to augment in others.
+    """
+    rng = random.Random(76)
+    seen = Counter()
+    for k in range(240):
+        n = rng.randint(1, 7 if k % 4 == 0 else 5)
+        if k % 2:
+            a = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        else:
+            a = Matrix([[Fraction(rng.randint(-30, 30), rng.choice(PRIMES)) for _ in range(n)] for _ in range(n)])
+        augments["rows"] = 0
+        res = permanent(a)
+        value, count, _ = brute_permanent(a)
+        assert res.value == value
+        assert res.attaining_unique == (count == 1)
+        assert sum(a[i, res.witness(i)] for i in range(n)) == value
+        seen["augmented" if augments["rows"] else "reduced"] += 1
+        seen["tie"] += count > 1
+    assert seen["augmented"] >= 100 and seen["reduced"] >= 40 and seen["tie"] >= 20, seen
+
+
+def test_zero_diagonal_with_negative_off_diagonal_needs_no_augmenting(augments):
+    """A gate: the column reduction matches every row, so the assignment costs O(n^2).
+
+    The least cost of column j is its diagonal 0, and no other: every other
+    cost is positive.  Semimetric matrices reach the assignment through
+    ``classify`` and ``hclass_contains``.
+    """
+    rng = random.Random(77)
+    cases = [Matrix([[-x for x in row] for row in cycle_grid(n)]) for n in (2, 7, 16)]
+    for _ in range(10):
+        n = rng.randint(2, 9)
+        grid = [[Fraction(-rng.randint(1, 40), rng.choice(PRIMES)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            grid[i][i] = Fraction(0)
+        cases.append(Matrix(grid))  # not idempotent in general
+    for a in cases:
+        res = permanent(a)
+        assert res.value == 0 and res.attaining_unique and res.witness == Permutation.identity(a.rows)
+    semimetrics = [to_matrix(rand_semimetric(rng, rng.randint(2, 9))) for _ in range(6)]
+    metrics = [to_matrix(rand_metric(rng, rng.randint(2, 9))) for _ in range(6)]
+    for m in semimetrics + metrics:
+        assert classify(m).is_semimetric_matrix
+    for m in metrics:
+        assert hclass_contains(m, m)
+    assert augments["rows"] == 0
+    assert permanent(Matrix([[0, 1], [-1, 0]])).value == 0 and augments["rows"] == 1  # one positive entry
 
 
 def test_is_strongly_regular_examples():
