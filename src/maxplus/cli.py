@@ -9,7 +9,6 @@ unless --decimal is given.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -78,6 +77,8 @@ def _cmd_classify(args) -> int:
     mat = load_matrix(args.file)
     report = classify(mat)
     if args.json:
+        import json  # imported only for --json, so other commands skip its import time
+
         payload = {"n": mat.rows, **report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -166,20 +166,54 @@ def kleene_star(a: Matrix) -> StarResult:
     diagonal.  The pass decides divergence as it goes: every entry it
     writes is the weight of a real walk, so a positive diagonal entry is a
     positive closed walk and the eigenvalue is positive, and the pass stops
-    there.  Conversely, once pivots 0..k are done, entry (u, u) is at least
-    the weight of every simple cycle through u whose other nodes are <= k;
-    a positive cycle contains a positive simple cycle, which shows on the
-    diagonal at its largest node.  So a pass that ends with every diagonal
-    entry <= 0 proves the eigenvalue <= 0.
+    there; a positive entry of ``a``'s own diagonal stops it before the
+    first pivot.  Conversely, once pivots 0..k are done, entry (u, u) is at
+    least the weight of every simple cycle through u whose other nodes are
+    <= k; a positive cycle contains a positive simple cycle, which shows on
+    the diagonal at its largest node.  So a pass that ends with every
+    diagonal entry <= 0 proves the eigenvalue <= 0.
+
+    Some rows that the pass would leave unchanged are skipped.  Every
+    diagonal entry stays <= 0, as each is checked up front and after every
+    row that changes, so g_kk + g_kj <= g_kj and row k is skipped at pivot
+    k.  When no entry of ``a`` is positive, the other rows are skipped by a
+    column bound.  Let hi_in[j] be the largest entry of column j of ``a``
+    off the diagonal, and slack[i] = min_j (a_ij - hi_in[j]).  The pass
+    writes an entry g_ij only as g_ik + g_kj with k not i or j, so no entry
+    becomes positive and every off-diagonal entry of column j stays <=
+    hi_in[j].  Entries only rise, so slack[i] <= g_ij - hi_in[j] for every
+    j.  At pivot k, row i is skipped when g_ik <= slack[i]: then for j != k,
+    g_ik + g_kj <= slack[i] + hi_in[j] <= g_ij, and for j = k, g_kk <= 0.
+    So after every pivot the grid is the plain pass's.
+
+    A positive entry in column k keeps every row at pivot k, since slack[i]
+    <= a_ik - hi_in[k] < a_ik <= g_ik.  On such matrices, as A - lambda of a
+    random A mostly is, a bound built anyway settled a few rows in a
+    hundred, and its O(n^2) set-up cost more than they saved.  On the
+    negation of a distance table d, row i is skipped at every pivot when
+    d(i, j) <= d(i, k) + min_{m != j} d(m, j) for all j and all k != i: for
+    example when every distance off the diagonal is at most twice every
+    other one, or when d is measured along a star through one hub point.
+    If the bound settles every row, the pass costs O(n^2); the worst case
+    stays O(n^3).
     """
     grid, den = square_grid(a)
     grid = [list(row) for row in grid]
     n = a.rows
+    if max(row[i] for i, row in enumerate(grid)) > 0:
+        return StarResult(False, None, a)
+    slack = None
+    if max(map(max, grid)) <= 0:
+        # at n = 1 no column has an entry off the diagonal, and only row k = 0 exists
+        hi_in = [max(col[:j] + col[j + 1 :], default=0) for j, col in enumerate(zip(*grid))]
+        slack = [min(map(sub, row, hi_in)) for row in grid]
     for k in range(n):
         rowk = grid[k]
         for i in range(n):
-            ik = grid[i][k]
             rowi = grid[i]
+            ik = rowi[k]
+            if i == k or slack and ik <= slack[i]:
+                continue
             for j in range(n):
                 cand = ik + rowk[j]
                 if cand > rowi[j]:

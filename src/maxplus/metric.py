@@ -240,7 +240,8 @@ def classify(a: Matrix) -> ClassificationReport:
     star = kleene_star(a)
     kleene_fixed = star.converges and star.star == a
     sr = is_strongly_regular(a)
-    off_neg = all(e < 0 for i, row in enumerate(grid) for j, e in enumerate(row) if i != j)
+    # per-row maxima off the diagonal; at n = 1 there is none, and the flag holds
+    off_neg = all(max(row[:i] + row[i + 1 :], default=-1) < 0 for i, row in enumerate(grid))
     at = a.transpose()
     symmetric = a == at
     cols_zero = all(max(row) == 0 for row in grid)

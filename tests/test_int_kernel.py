@@ -82,6 +82,8 @@ from helpers import (
     rand_metric,
     rand_semimetric,
     series_star,
+    shift_nonpositive,
+    uniform_grid,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -833,15 +835,8 @@ def test_star_diverges_on_a_positive_cycle_through_the_last_pivots(tmp_path, cap
     assert star_output(tmp_path, capsys, a, "--decimal") == "diverges (eigenvalue 0.06666666666666667)\n"
 
 
-def test_star_of_huge_positive_entries_stops_at_once(monkeypatch, tmp_path, capsys):
-    """Every cycle mean is c = 2^100 + 1/3, so entry (0, 0) is positive and
-    the pass ends with row 0 of pivot 0: n additions, where a full pass or
-    Karp's recurrence makes about n^3."""
-    n = 128
-    rng = random.Random(222)
-    c = 2**100 + Fraction(1, 3)
-    x = [Fraction(rng.getrandbits(90), rng.choice(PRIMES)) for _ in range(n)]
-    a = Matrix([[c + x[i] - x[j] for j in range(n)] for i in range(n)])
+def star_additions(monkeypatch, a):
+    """``kleene_star(a)`` and the number of additions its pass makes."""
     adds = Counter()
 
     class Counted(int):
@@ -851,10 +846,158 @@ def test_star_of_huge_positive_entries_stops_at_once(monkeypatch, tmp_path, caps
 
     num, den = semiring_module.square_grid(a)
     grid = [list(map(Counted, row)) for row in num]
-    monkeypatch.setattr(closure_module, "square_grid", lambda _: (grid, den))
-    res = kleene_star(a)
+    with monkeypatch.context() as patch:
+        patch.setattr(closure_module, "square_grid", lambda _: (grid, den))
+        res = kleene_star(a)
+    return res, adds["+"]
+
+
+def test_star_of_huge_positive_entries_stops_at_once(monkeypatch, tmp_path, capsys):
+    """Every cycle mean is c = 2^100 + 1/3, so entry (0, 0) is positive and
+    the star answers before the first pivot: no addition, where a full pass
+    or Karp's recurrence makes about n^3."""
+    n = 128
+    rng = random.Random(222)
+    c = 2**100 + Fraction(1, 3)
+    x = [Fraction(rng.getrandbits(90), rng.choice(PRIMES)) for _ in range(n)]
+    a = Matrix([[c + x[i] - x[j] for j in range(n)] for i in range(n)])
+    res, adds = star_additions(monkeypatch, a)
     assert not res.converges and res.star is None
-    assert adds["+"] == n
-    monkeypatch.undo()
+    assert adds == 0
     assert star_output(tmp_path, capsys, a) == f"diverges (eigenvalue {c})\n"
     assert star_output(tmp_path, capsys, a, "--decimal") == "diverges (eigenvalue 1.2676506002282294e+30)\n"
+
+
+def plain_star(a):
+    """The star's Floyd-Warshall pass with no row skipped: (converges, star)."""
+    grid, den = semiring_module.square_grid(a)
+    grid = [list(row) for row in grid]
+    n = a.rows
+    for k in range(n):
+        rowk = grid[k]
+        for i in range(n):
+            ik = grid[i][k]
+            rowi = grid[i]
+            for j in range(n):
+                cand = ik + rowk[j]
+                if cand > rowi[j]:
+                    rowi[j] = cand
+            if rowi[i] > 0:
+                return False, None
+    for i in range(n):
+        grid[i][i] = max(grid[i][i], 0)
+    return True, Matrix._from_ints(grid, den)
+
+
+def band_grid(rng, n):
+    """Distances in [6, 12] off the diagonal, so each is at most twice any other."""
+    symmetric = rng.random() < 0.5
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d[i][j] = d[j][i] if symmetric and j < i else Fraction(rng.randint(18, 36), 3)
+    return d
+
+
+def hub_grid(rng, n):
+    """Distances along a star: leaf i is a[i] from the hub 0, the hub is b[i]
+    from leaf i, and leaf to leaf goes through the hub."""
+    a = [Fraction(0)] + [Fraction(rng.randint(1, 18), 3) for _ in range(n - 1)]
+    b = a  # symmetric half the time
+    if rng.random() >= 0.5:
+        b = [Fraction(0)] + [Fraction(rng.randint(1, 18), 3) for _ in range(n - 1)]
+    return [[a[i] + b[j] if i != j else 0 for j in range(n)] for i in range(n)]
+
+
+def closed_matrix(rng, kind, n):
+    """The matrix -d of a table d that satisfies the triangle inequality."""
+    if kind == "metric":
+        return to_matrix(rand_metric(rng, n))
+    if kind == "semimetric":
+        return to_matrix(rand_semimetric(rng, n))
+    if kind == "band":
+        d = band_grid(rng, n)
+    elif kind == "hub":
+        d = hub_grid(rng, n)
+    else:
+        unit = Fraction(rng.randint(1, 9), 2)
+        d = [[unit * x for x in row] for row in uniform_grid(n)]
+    return Matrix([[-x for x in row] for row in d])
+
+
+CLOSED_KINDS = ("band", "hub", "uniform", "metric", "semimetric")
+
+
+def star_oracle_cases(rng):
+    """(family, matrix) pairs for the star's oracle."""
+    for k in range(100):  # closed tables: the pass changes nothing
+        yield "closed", closed_matrix(rng, CLOSED_KINDS[k % 5], rng.randint(2, 10))
+    for k in range(100):  # one entry moved, down (the pass may lift it back) or up
+        n = rng.randint(3, 10)
+        grid = [list(row) for row in closed_matrix(rng, CLOSED_KINDS[k % 5], n).entries]
+        i, j = rng.sample(range(n), 2)
+        grid[i][j] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 36), rng.choice((1, 2, 3)))
+        yield "perturbed", Matrix(grid)
+    for k in range(60):  # one positive entry, which lifts entries above every other of their column
+        n = rng.randint(3, 10)
+        grid = [list(row) for row in closed_matrix(rng, CLOSED_KINDS[k % 3], n).entries]
+        i, j = rng.sample(range(n), 2)
+        grid[i][j] = -grid[j][i] * rng.randint(1, 6) / 6  # no positive cycle
+        yield "positive entry", Matrix(grid)
+    for _ in range(60):  # a zero diagonal and no triangle inequality: the bounded pass changes entries
+        n = rng.randint(3, 10)
+        grid = [[0 if i == j else -prime_scalar(rng, 1, 60) for j in range(n)] for i in range(n)]
+        yield "zero diagonal", Matrix(grid)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        grid = prime_grid(rng, n, n)
+        i = rng.randrange(n)
+        grid[i][i] = Fraction(rng.randint(1, 9), rng.choice(PRIMES))
+        yield "positive diagonal", Matrix(grid)
+    for _ in range(20):  # x (x) y with max_i (x_i + y_i) = 0, a negative diagonal elsewhere
+        n = rng.randint(2, 8)
+        x = [prime_scalar(rng) for _ in range(n)]
+        y = [prime_scalar(rng) for _ in range(n)]
+        top = max(xi + yi for xi, yi in zip(x, y))
+        yield "rank one", Matrix([[xi + yj - top for yj in y] for xi in x])
+    for n in (1, 2) * 20:
+        yield "small", prime_matrix(rng, n)
+    for _ in range(20):  # eigenvalue 0 or below, as the spectral workload shifts
+        yield "shifted", shift_nonpositive(rng, prime_matrix(rng, rng.randint(2, 8)))
+
+
+def test_pruned_star_matches_the_plain_pass_and_the_series():
+    families, counts = Counter(), Counter()
+    for family, a in star_oracle_cases(random.Random(231)):
+        res = kleene_star(a)
+        assert (res.converges, res.star) == plain_star(a)
+        families[family] += 1
+        if not res.converges:
+            assert eigenvalue(a) > 0
+            counts["diverges"] += 1
+            continue
+        assert res.star == series_star(a)
+        grid, _ = semiring_module.square_grid(a)
+        unchanged = all(res.star[i, j] == a[i, j] for i in range(a.rows) for j in range(a.rows) if i != j)
+        counts["unchanged"] += unchanged
+        counts["negative diagonal, unchanged"] += unchanged and min(row[i] for i, row in enumerate(grid)) < 0
+        counts["bounded, changed" if max(map(max, grid)) <= 0 else "positive entry, changed"] += not unchanged
+    assert sum(families.values()) == 420
+    assert counts["unchanged"] >= 150  # the closed tables, the rank-one ones and more
+    assert counts["negative diagonal, unchanged"] >= 40
+    assert counts["bounded, changed"] >= 100
+    assert counts["positive entry, changed"] >= 70
+    assert counts["diverges"] >= 70
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_star_of_a_closed_table_makes_no_addition(monkeypatch, n):
+    """On -d for a band table (distances in [6, 12]), a hub table and a
+    uniform one, the column bound skips every row but the pivot's own."""
+    rng = random.Random(232 + n)
+    for kind in ("band", "hub", "uniform"):
+        a = closed_matrix(rng, kind, n)
+        res, adds = star_additions(monkeypatch, a)
+        assert res.converges and res.star == a
+        assert adds == 0, kind
