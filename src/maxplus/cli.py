@@ -190,9 +190,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# long options whose values may start with "-" (negative rationals, points);
-# folded into --opt=value form so argparse does not mistake them for flags
-_VALUE_OPTIONS = ("--lambda", "--point", "--perm", "--output")
+# options whose values may start with "-" (negative rationals, points, paths),
+# each with its long form; folded into --opt=value form so argparse does not
+# mistake the value for a flag.  A short option is folded into its long form
+# too: argparse reads "-o=value" differently across Python versions.
+_VALUE_OPTIONS = {opt: opt for opt in ("--lambda", "--point", "--perm", "--output")} | {"-o": "--output"}
 
 
 def _fold_option_values(argv):
@@ -204,7 +206,7 @@ def _fold_option_values(argv):
             if val is None:
                 out.append(tok)  # argparse reports the missing value
             else:
-                out.append(f"{tok}={val}")
+                out.append(f"{_VALUE_OPTIONS[tok]}={val}")
         else:
             out.append(tok)
     return out

@@ -219,7 +219,7 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     n = table.n
     if n == 1:
         return IsometryGroup(n=1, levels=())
-    d = list(map(list, square_grid(table.values)[0]))
+    d = list(map(list, int_grids(table)[0][0]))
     dt = list(map(list, zip(*d)))
     low_out, low_in = _off_diagonal_minima(d), _off_diagonal_minima(dt)
     if min(low_out) <= 0:

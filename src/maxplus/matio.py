@@ -18,7 +18,7 @@ columns, and each entry's numerator and denominator at most
 ``MAX_ENTRY_BITS`` bits.  The caps bound each entry, not the common
 denominator D that the kernels work over: coprime denominators multiply,
 so D can reach about n^2 * 128 bits, and every kernel step costs time in
-the bits of D.  A cap on D is an open item (ROADMAP item 2).  The same
+the bits of D.  A cap on D is an open item (ROADMAP item 3).  The same
 caps hold for the scalars and points given on the command line
 (:func:`parse_scalar`, :func:`parse_point`).
 """

@@ -19,7 +19,7 @@ from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .polytope import interior_test
 from .rank import is_strongly_regular
-from .semiring import Matrix, Vector, int_grids, residuation, square_grid
+from .semiring import Matrix, Vector, _Exact, int_grids, residuation, square_grid
 
 __all__ = [
     "DistanceClass",
@@ -56,55 +56,39 @@ class ValidationResult:
     witness: tuple[int, ...] | None  # triple for a triangle failure, pair otherwise
 
 
-class DistanceTable:
+class DistanceTable(_Exact):
     """A function d on pairs of [n] with exact rational values and zero diagonal.
 
-    The values are held as a ``Matrix``, so the kernels run on its
-    integer view; ``d`` and ``entries`` give ``Fraction``s.
+    The d values are held in the storage core that ``semiring`` gives
+    matrices and vectors, so the kernels run on their integer view; ``d``
+    and ``entries`` give ``Fraction``s.  A table never equals a ``Matrix``.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
     def __init__(self, rows):
-        values = Matrix(rows)
-        if not values.is_square:
+        super().__init__(rows)
+        (grid,), _ = int_grids(self)
+        if len(grid) != len(grid[0]):
             raise ShapeError("a distance table must be square and non-empty")
-        (grid,), _ = int_grids(values)
-        for i in range(values.rows):
-            if grid[i][i] != 0:
-                raise PreconditionError(f"self-distance of point {i + 1} is {values[i, i]}, not 0")
-        self._values = values
-
-    @classmethod
-    def _wrap(cls, values: Matrix) -> "DistanceTable":
-        """A table over a square matrix already known to have a zero diagonal."""
-        self = object.__new__(cls)
-        self._values = values
-        return self
+        for i, row in enumerate(grid):
+            if row[i] != 0:
+                raise PreconditionError(f"self-distance of point {i + 1} is {self.d(i, i)}, not 0")
 
     @property
     def n(self) -> int:
-        return self._values.rows
+        return len(self._any_rows())
 
     @property
     def values(self) -> Matrix:
-        """The d values as a matrix; :func:`to_matrix` gives their negation."""
-        return self._values
+        """The d values as a matrix sharing the table's rows, in O(1).
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._values.entries
+        :func:`to_matrix` gives their negation.
+        """
+        return self._as(Matrix)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self._values[i, j]
-
-    def __eq__(self, other):
-        if not isinstance(other, DistanceTable):
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self):
-        return hash(self._values)
+        return self.entries[i][j]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -126,7 +110,7 @@ def validate(table: DistanceTable) -> ValidationResult:
     The cost is O(n^2) when every pair is within the bound, and otherwise
     one O(n) scan per remaining pair; the worst case is still O(n^3).
     """
-    (d,), _ = int_grids(table.values)
+    (d,), _ = int_grids(table)
     n = len(d)
     if n == 1:
         return ValidationResult(DistanceClass.METRIC, None)
@@ -185,9 +169,11 @@ def _table_level(a: Matrix) -> DistanceClass | None:
     ``a`` is a square ``Matrix``; the answer is ``None`` when its diagonal
     is nonzero, so that -a is no table.
     """
-    if any(row[i] != 0 for i, row in enumerate(square_grid(a)[0])):
+    try:
+        table = from_matrix(a)
+    except PreconditionError:
         return None
-    return validate(DistanceTable._wrap(-a)).level
+    return validate(table).level
 
 
 def to_matrix(table: DistanceTable) -> Matrix:
@@ -200,7 +186,7 @@ def from_matrix(d: Matrix) -> DistanceTable:
     grid, _ = square_grid(d)
     if any(grid[i][i] != 0 for i in range(d.rows)):
         raise PreconditionError("matrix has a nonzero diagonal entry")
-    return DistanceTable._wrap(-d)
+    return (-d)._as(DistanceTable)
 
 
 @dataclass(frozen=True)

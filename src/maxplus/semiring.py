@@ -20,23 +20,31 @@ coprime.  So equal values may have views
 over different Ds.  Equality compares views directly when the two Ds are
 equal, which covers ``a @ a == a``, a star against its input and a
 transpose, and otherwise by cross-multiplication, x * D_b == y * D_a.
-Hashing goes through ``entries``, whose ``Fraction``s are in lowest
-terms.  A matrix or vector keeps whichever of its two forms it was built
-from and computes the other once, on first use, into a slot; two threads
-racing on that computation store equal values.  The rows and columns of a
-matrix are vectors built from its view, and ``scale``, ``residuation``,
-``mat_vec`` and the vector order and lattice operations run on views.
+Values of different classes are never equal.  Hashing goes through
+``entries``, whose ``Fraction``s are in lowest terms.
+
+One storage core.  ``Vector``, ``Matrix`` and ``metric.DistanceTable``
+share one package-internal base class, which holds a value as rows: a
+vector is one row.  It keeps whichever of its two forms, ``Fraction``
+rows or the view (int rows, D), the value was built from and computes
+the other once, on first use, into a slot; two threads racing on that
+computation store equal values.  The base class also owns equality,
+hashing, negation and scaling, so the subclasses add only what depends
+on their shape.  The rows and columns of a matrix are vectors built from
+its view, and ``scale``, ``residuation``, ``mat_vec`` and the vector
+order and lattice operations run on views.
 
 Only this module knows the format, and it offers one bridge to it.
-:func:`int_grids` gives matrices and :func:`int_vectors` gives vectors
-as ints over one common D, both as ``(views, D)``; a single value keeps
-its own view.  :func:`square_grid` is the ``(grid, D)`` of a square
-matrix, and :func:`ray_key` keys an int vector by its scaling class.  A
-kernel hands its results back as ``Matrix._from_ints(grid, D)``,
-``Vector._from_ints(ints, D)`` or ``Fraction(v, D)``.  A
-``DistanceTable`` (in ``metric``) wraps the matrix of its values, so
-tables reach the same kernels.  A ``Fraction`` is made only for an
-answer, or for ``entries`` when a caller asks.
+:func:`int_grids` gives matrices (or tables) and :func:`int_vectors`
+gives vectors as ints over one common D, both as ``(views, D)``; a
+single value keeps its own view.  :func:`square_grid` is the
+``(grid, D)`` of a square matrix, and :func:`ray_key` keys an int vector
+by its scaling class.  A kernel hands its results back as
+``Matrix._from_ints(grid, D)``, ``Vector._from_ints(ints, D)`` or
+``Fraction(v, D)``.  A table and a matrix of the same rows convert into
+each other in O(1) by sharing both forms, so tables reach the same
+kernels.  A ``Fraction`` is made only for an answer, or for ``entries``
+when a caller asks.
 
 Tuples here are built from lists, not from generators.  CPython builds a
 tuple from a generator by resizing it, and a resized tuple, once freed,
@@ -118,37 +126,112 @@ def _int_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple(ints[k : k + width]) for k in range(0, len(ints), width)]), den
 
 
-class Vector:
+def _of_ints(cls, num, den: int):
+    """Wrap a rectangular grid of ints over ``den`` > 0 as a ``cls`` value."""
+    self = object.__new__(cls)
+    self._fracs = None
+    self._ints = tuple([tuple(row) for row in num]), den
+    return self
+
+
+class _Exact:
+    """Package-internal: equal-length rows of exact rationals, in two forms.
+
+    The base of ``Vector`` (one row), ``Matrix`` and ``metric.DistanceTable``.
+    It owns the storage, the integer view, equality, hashing, negation and
+    scaling; the subclasses add only what depends on their shape.  Values
+    of different classes never compare equal.
+    """
+
+    # _fracs: Fraction rows; _ints: the integer view (int rows, D).  At least
+    # one is set, and each is computed from the other once, on first use.
+    __slots__ = ("_fracs", "_ints")
+
+    def __init__(self, rows: Iterable[Iterable]):
+        grid = tuple([tuple([scalar(e) for e in row]) for row in rows])
+        if not grid or not grid[0]:
+            raise ShapeError("a matrix needs at least one row and one column")
+        width = len(grid[0])
+        if any(len(row) != width for row in grid):
+            raise ShapeError("matrix rows must all have the same length")
+        self._fracs = grid
+        self._ints = None
+
+    _from_ints = classmethod(_of_ints)
+
+    def _int_view(self):
+        if self._ints is None:
+            self._ints = _int_rows(self._fracs)
+        return self._ints
+
+    def _any_rows(self):
+        """The rows of whichever form is set, for their shape."""
+        return self._fracs or self._ints[0]
+
+    def _as(self, cls):
+        """The same rows as a ``cls`` value, sharing both forms: O(1)."""
+        other = object.__new__(cls)
+        other._fracs, other._ints = self._fracs, self._ints
+        return other
+
+    def _fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._fracs is None:
+            num, den = self._ints
+            self._fracs = tuple([tuple([Fraction(e, den) for e in row]) for row in num])
+        return self._fracs
+
+    entries = property(_fraction_rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        (a, da), (b, db) = self._int_view(), other._int_view()
+        if da == db:
+            return a == b
+        # equal values over different Ds: compare by cross-multiplication
+        return (
+            len(a) == len(b)
+            and len(a[0]) == len(b[0])
+            and all(x * db == y * da for r, s in zip(a, b) for x, y in zip(r, s))
+        )
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __neg__(self):
+        num, den = self._int_view()
+        return _of_ints(type(self), [[-e for e in row] for row in num], den)
+
+    def _scaled(self, lam):
+        """Add ``lam`` to every entry."""
+        num, den = self._int_view()
+        factor, shift, common = _shift(den, scalar(lam))
+        return _of_ints(type(self), [[e * factor + shift for e in row] for row in num], common)
+
+
+class Vector(_Exact):
     """A point of finite tropical n-space: a fixed-length tuple of rationals.
 
     Vectors carry the componentwise partial order through ``<=`` / ``>=``;
     incomparable pairs simply fail both tests.
     """
 
-    # _entries: Fraction tuple; _ints: the integer view (ints, D).  At least
-    # one is set, and each is computed from the other once, on first use.
-    __slots__ = ("_entries", "_ints")
+    __slots__ = ()
 
     def __init__(self, entries: Iterable):
         vals = tuple([scalar(e) for e in entries])
         if not vals:
             raise ShapeError("a vector needs at least one entry")
-        self._entries = vals
+        self._fracs = (vals,)
         self._ints = None
 
     @classmethod
     def _from_ints(cls, ints, den: int) -> "Vector":
         """Wrap a non-empty sequence of ints over ``den`` > 0."""
         self = object.__new__(cls)
-        self._entries = None
-        self._ints = tuple(ints), den
+        self._fracs = None
+        self._ints = (tuple(ints),), den
         return self
-
-    def _int_view(self):
-        if self._ints is None:
-            (ints,), den = _int_rows([self._entries])
-            self._ints = ints, den
-        return self._ints
 
     @classmethod
     def zeros(cls, n: int) -> "Vector":
@@ -158,28 +241,16 @@ class Vector:
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        if self._entries is None:
-            ints, den = self._ints
-            self._entries = tuple([Fraction(e, den) for e in ints])
-        return self._entries
+        return (self._fracs or self._fraction_rows())[0]
 
     def __len__(self):
-        return len(self._entries or self._ints[0])
+        return len(self._any_rows()[0])
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        (a, da), (b, db) = self._int_view(), other._int_view()
-        return a == b if da == db else _same_entries(a, da, b, db)
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return "Vector([%s])" % ", ".join(str(e) for e in self.entries)
@@ -192,10 +263,6 @@ class Vector:
         (a, b), _ = int_vectors((self, other))
         return all(x >= y for x, y in zip(a, b))
 
-    def __neg__(self) -> "Vector":
-        ints, den = self._int_view()
-        return Vector._from_ints([-e for e in ints], den)
-
     def oplus(self, other: "Vector") -> "Vector":
         """Componentwise max (the module addition)."""
         (a, b), den = int_vectors((self, other))
@@ -207,14 +274,6 @@ class Vector:
         return Vector._from_ints(list(map(min, a, b)), den)
 
 
-def _same_entries(a, da, b, db) -> bool:
-    """Whether ints ``a`` over ``da`` and ``b`` over ``db`` are equal values.
-
-    Compared by cross-multiplication.
-    """
-    return len(a) == len(b) and all(x * db == y * da for x, y in zip(a, b))
-
-
 def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
     """The entries of equal-length ``vectors`` times one common denominator D.
 
@@ -222,12 +281,12 @@ def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
     Raises ``ShapeError`` if the lengths differ.
     """
     views = [v._int_view() for v in vectors]
-    n = len(views[0][0])
-    for ints, _ in views:
+    n = len(views[0][0][0])
+    for (ints,), _ in views:
         if len(ints) != n:
             raise ShapeError(f"vector lengths differ: {n} vs {len(ints)}")
     den = lcm(*[d for _, d in views])
-    return [ints if d == den else tuple([e * (den // d) for e in ints]) for ints, d in views], den
+    return [ints if d == den else tuple([e * (den // d) for e in ints]) for (ints,), d in views], den
 
 
 def _shift(den: int, lam: Fraction):
@@ -238,9 +297,7 @@ def _shift(den: int, lam: Fraction):
 
 def scale(lam, x: Vector) -> Vector:
     """Tropical scaling: add ``lam`` to every entry of ``x``."""
-    ints, den = x._int_view()
-    factor, shift, common = _shift(den, scalar(lam))
-    return Vector._from_ints([e * factor + shift for e in ints], common)
+    return x._scaled(lam)
 
 
 def residuation(x: Vector, y: Vector) -> Fraction:
@@ -261,55 +318,23 @@ def projectivize(x: Vector) -> tuple[Fraction, ...]:
     """
     if len(x) < 2:
         raise PreconditionError("projectivization needs at least two coordinates")
-    ints, den = x._int_view()
+    (ints,), den = x._int_view()
     last = ints[-1]
     return tuple([Fraction(e - last, den) for e in ints[:-1]])
 
 
-class Matrix:
+class Matrix(_Exact):
     """A rectangular matrix of exact rationals (the workhorse of the package)."""
 
-    # _grid: Fraction rows; _ints: the integer view (rows, D).  At least one
-    # is set, and each is computed from the other once, on first use.
-    __slots__ = ("_grid", "_ints")
-
-    def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple([tuple([scalar(e) for e in row]) for row in rows])
-        if not grid or not grid[0]:
-            raise ShapeError("a matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ShapeError("matrix rows must all have the same length")
-        self._grid = grid
-        self._ints = None
-
-    @classmethod
-    def _from_ints(cls, num, den: int) -> "Matrix":
-        """Wrap a rectangular grid of ints over ``den`` > 0."""
-        self = object.__new__(cls)
-        self._grid = None
-        self._ints = tuple([tuple(row) for row in num]), den
-        return self
-
-    def _int_view(self):
-        if self._ints is None:
-            self._ints = _int_rows(self._grid)
-        return self._ints
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
-        return len(self._grid or self._ints[0])
+        return len(self._any_rows())
 
     @property
     def cols(self) -> int:
-        return len((self._grid or self._ints[0])[0])
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._grid is None:
-            num, den = self._ints
-            self._grid = tuple([tuple([Fraction(e, den) for e in row]) for row in num])
-        return self._grid
+        return len(self._any_rows()[0])
 
     @property
     def is_square(self) -> bool:
@@ -318,17 +343,6 @@ class Matrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        (a, da), (b, db) = self._int_view(), other._int_view()
-        if da == db:
-            return a == b
-        return len(a) == len(b) and all(_same_entries(r, da, s, db) for r, s in zip(a, b))
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -345,11 +359,7 @@ class Matrix:
         (a, b), den = int_grids(self, other)
         return Matrix._from_ints([list(map(max, r1, r2)) for r1, r2 in zip(a, b)], den)
 
-    def scale(self, lam) -> "Matrix":
-        """Add ``lam`` to every entry."""
-        num, den = self._int_view()
-        factor, shift, common = _shift(den, scalar(lam))
-        return Matrix._from_ints([[e * factor + shift for e in row] for row in num], common)
+    scale = _Exact._scaled
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -372,10 +382,6 @@ class Matrix:
         num, den = self._int_view()
         return [Vector._from_ints(col, den) for col in zip(*num)]
 
-    def __neg__(self) -> "Matrix":
-        num, den = self._int_view()
-        return Matrix._from_ints([[-e for e in row] for row in num], den)
-
 
 def _rescale(num, factor):
     if factor == 1:
@@ -387,10 +393,10 @@ def _rescale(num, factor):
 # only this module knows the integer view.
 
 
-def int_grids(*matrices: Matrix) -> tuple[list, int]:
-    """The entries of ``matrices`` times one common denominator D, as ints.
+def int_grids(*matrices: _Exact) -> tuple[list, int]:
+    """The entries of ``matrices`` (or distance tables) times one common denominator D, as ints.
 
-    Returns the grids and D; a single matrix keeps its own view, with no
+    Returns the grids and D; a single value keeps its own view, with no
     rescale.  Max, + and comparison commute with positive scaling, so a
     max-plus kernel may run on these grids.
     """
@@ -436,6 +442,4 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     """
     if a.cols != len(x):
         raise ShapeError(f"cannot apply {a.rows}x{a.cols} to a vector of length {len(x)}")
-    ints, den = x._int_view()
-    num, den = mat_mul(a, Matrix._from_ints([[v] for v in ints], den))._int_view()
-    return Vector._from_ints([row[0] for row in num], den)
+    return mat_mul(a, x._as(Matrix).transpose()).transpose()._as(Vector)

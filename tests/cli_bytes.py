@@ -166,20 +166,29 @@ def results():
             yield ("-inf" if group == "-inf" else cmd), argv, run(argv)
 
 
-def main() -> None:
-    digests, counts = {}, {}
+def digests() -> dict[str, tuple[str, int]]:
+    """{key: (sha256 hex digest, number of runs)}, keys in first-run order.
+
+    Runs in a temporary directory, which is the working directory only
+    while the runs last.
+    """
+    hashes, counts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
             for key, argv, outcome in results():
                 record = json.dumps([argv, *outcome]).encode()
-                digests.setdefault(key, hashlib.sha256()).update(record + b"\n")
+                hashes.setdefault(key, hashlib.sha256()).update(record + b"\n")
                 counts[key] = counts.get(key, 0) + 1
         finally:
             os.chdir(cwd)
-    for key, digest in digests.items():
-        print(f"{key:<11} {digest.hexdigest()}  {counts[key]} runs")
+    return {key: (digest.hexdigest(), counts[key]) for key, digest in hashes.items()}
+
+
+def main() -> None:
+    for key, (digest, count) in digests().items():
+        print(f"{key:<11} {digest}  {count} runs")
 
 
 if __name__ == "__main__":

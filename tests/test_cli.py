@@ -15,9 +15,26 @@ from maxplus.cli import LISTING_CAP, REPORT_SCHEMA, main
 from maxplus.matio import MAX_ENTRY_BITS, parse_matrix, serialize_matrix
 from maxplus.svg import render_matrix
 
+import cli_bytes
 from helpers import CLAW, HEX_ASYM, HEX_SYM, TRIANGLE, cycle_grid, uniform_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# (sha256, runs) per key of tests/cli_bytes.py: the CLI's bytes on its
+# seeded corpus, the same under CPython 3.10, 3.11 and 3.12
+CLI_DIGESTS = {
+    "usage": ("7d133c342ba9da11c59fe65393ec36c4855869c7bda363321b4ff75bdd1bb2e2", 6),
+    "classify": ("7970215d5a96e3f3d899a4a24f01ee30de4f4663acfa34d3e16d2b0100e6eb5b", 286),
+    "render": ("901667ef12eebb59f3e26e7442e615d6da35cff6dbac2c782a7165873979b411", 143),
+    "star": ("911057c668fb3e4ea8cae2bd9f216b612826223c310c3bbfebfef3e1ad0b1a2a", 286),
+    "eigenvalue": ("c18498e276596821151a8d0239ea11c236a5f60f5d042997315ff77514d4befb", 286),
+    "embed": ("c6b9586aad94ea42960ce0c3c79e4e8377ac6153da2379a4e3b3fdb08d575300", 286),
+    "isometries": ("087df0038f03e9740d80b06bc5658bdbf12d14e75d5348280e93e3603f96ffa0", 143),
+    "extremals": ("763dcbfa679cd4ae8d85695e556c91662c694eeb1a355e8ce66d42a845fb17fa", 143),
+    "interior": ("e0c3be21a70ddb80321c9bee0d85e38a77c6bde1e3184d6109cad22755995dd0", 572),
+    "hclass": ("45b8921c5ea9d5f67c1518ae491ae1397ada6510a9b4b73403bbf1ac5f151e67", 1144),
+    "-inf": ("aecaffd8b5c74b0609b28e523ce9ca440c4c239a00e98d68ea6eddca4c69e510", 230),
+}
 
 
 @pytest.fixture
@@ -188,6 +205,10 @@ def test_render_matches_golden(files, capsys):
         assert out_path.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
+def test_cli_bytes_match_the_pinned_digests():
+    assert cli_bytes.digests() == CLI_DIGESTS
+
+
 def test_render_is_deterministic(files):
     assert render_matrix(HEX_ASYM) == render_matrix(HEX_ASYM)
     assert render_matrix(Matrix([[0, -1], [-2, 0]])) == render_matrix(Matrix([[0, -1], [-2, 0]]))
@@ -199,6 +220,14 @@ def test_render_band_2x2(files, tmp_path):
     out = tmp_path / "band.svg"
     assert main(["render", str(band_file), "-o", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("flag", ["-o", "--output"])
+def test_render_takes_a_dash_leading_path(files, monkeypatch, flag):
+    # a leading "-" on the output path must not be mistaken for a flag
+    monkeypatch.chdir(files["dir"])
+    assert main(["render", files["band_inside"], flag, "-out.svg"]) == 0
+    assert (files["dir"] / "-out.svg").read_bytes() == (GOLDEN_DIR / "band_inside.svg").read_bytes()
 
 
 @pytest.mark.parametrize("unit", [10**6, (2**MAX_ENTRY_BITS - 1) // 3])

@@ -63,6 +63,9 @@ SWAP23 = Permutation([0, 2, 1])
 def test_permutation_basics():
     p = Permutation([1, 2, 0])
     assert p(0) == 1 and p(2) == 0
+    assert len(p) == 3 and repr(p) == "Permutation([1, 2, 0])"
+    assert hash(p) == hash(Permutation((1, 2, 0)))
+    assert p != [1, 2, 0] and (1, 2, 0) != p
     assert p.inverse() == Permutation([2, 0, 1])
     assert p * p.inverse() == Permutation.identity(3)
     assert (SWAP23 * SWAP23).is_identity()

@@ -90,6 +90,7 @@ def test_matrix_conversion_round_trip():
     )
     with pytest.raises(PreconditionError):
         from_matrix(Matrix([[1]]))
+    assert repr(from_matrix(Matrix([[0, "-1/2"], [-2, 0]]))) == "DistanceTable(2 points: 0 1/2; 2 0)"
 
 
 def test_classify_golden_matrices():
@@ -192,6 +193,9 @@ def test_is_antichain():
     assert is_antichain(HEX_ASYM.column_vectors())
     assert not is_antichain([Vector([0, 0]), Vector([0, 1])])
     assert is_antichain([Vector([3, 1])])
+    # a repeated point is skipped: [x, x, y] answers as [x, y] does
+    for x, y in ((Vector([0, 1]), Vector([1, 0])), (Vector([0, 0]), Vector([0, 1]))):
+        assert is_antichain([x, x, y]) == is_antichain([x, y])
 
 
 def test_embed_claw():

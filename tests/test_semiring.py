@@ -86,6 +86,10 @@ def test_vector_basics():
     assert v[1] == Fraction(-3, 2)
     assert v == Vector(["0", "-1.5", "2"])
     assert -v == Vector([0, "3/2", -2])
+    assert repr(v) == "Vector([0, -3/2, 2])"
+    # equal over an unreduced denominator, and hashed alike
+    halves = Vector._from_ints([0, -3, 4], 2)
+    assert halves == v and hash(halves) == hash(v)
     with pytest.raises(ShapeError):
         Vector([])
     with pytest.raises(ShapeError, match="^a vector needs at least one entry$"):
@@ -195,6 +199,9 @@ def test_matrix_construction_and_accessors():
     assert m.col(1) == Vector([-1, "3/2"])
     assert m.transpose() == Matrix([[0, 2], [-1, "3/2"]])
     assert m.column_vectors() == [Vector([0, 2]), Vector([-1, "3/2"])]
+    assert repr(m) == "Matrix(2x2: 0 -1; 2 3/2)"
+    with pytest.raises(TypeError):
+        m @ 3
     with pytest.raises(ShapeError):
         Matrix([[0, 1], [2]])
     with pytest.raises(ShapeError, match="^a matrix needs at least one row and one column$"):
@@ -209,6 +216,12 @@ def test_matrix_equality_across_classes():
     for other in (Vector([0, 1]), ((0, 1),), [[0, 1]], DistanceTable([[0]])):
         assert m != other and other != m
     assert m == Matrix([["0", "2/2"]])
+    # a table never equals the matrix of its own entries
+    for t in (DistanceTable([[0]]), DistanceTable([[0, "1/2"], [1, 0]])):
+        assert t != Matrix(t.entries) and Matrix(t.entries) != t
+    # equal values over unreduced denominators are equal and hash alike
+    assert Matrix._from_ints([[2]], 4) == Matrix([["1/2"]])
+    assert hash(Matrix._from_ints([[2]], 4)) == hash(Matrix([["1/2"]]))
 
 
 def test_matrix_oplus_and_scale():
