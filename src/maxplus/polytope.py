@@ -45,15 +45,6 @@ class SpanMembership:
     projection: Vector
 
 
-def _aligned(generators, points):
-    """The generators and the points as ints over one denominator: (gens, points, D)."""
-    gens = list(generators)
-    if not gens:
-        raise PreconditionError("membership requires at least one generator")
-    ints, den = int_vectors(gens + list(points))
-    return ints[: len(gens)], ints[len(gens) :], den
-
-
 def _project(gens, xs):
     """Maximal coefficients and their join, on ints over one denominator."""
     lams = [min(map(sub, xs, g)) for g in gens]
@@ -63,21 +54,13 @@ def _project(gens, xs):
 
 def membership(generators: Sequence[Vector], x: Vector) -> SpanMembership:
     """Decide whether ``x`` lies in the tropical span of ``generators``."""
-    gens, (xs,), den = _aligned(generators, [x])
+    gens = list(generators)
+    if not gens:
+        raise PreconditionError("membership requires at least one generator")
+    (*gens, xs), den = int_vectors(gens + [x])
     lams, proj = _project(gens, xs)
     coefficients = tuple([Fraction(lam, den) for lam in lams])
     return SpanMembership(proj == xs, coefficients, Vector._from_ints(proj, den))
-
-
-def in_span(generators: Sequence[Vector], *points: Vector) -> bool:
-    """Package-internal: whether every point is in the span of ``generators``.
-
-    ``membership(generators, x).member`` for each point, building no
-    ``Fraction``: the generators and points are aligned to one denominator
-    once, and projection stops at the first non-member.
-    """
-    gens, xss, _ = _aligned(generators, points)
-    return all(_project(gens, xs)[1] == xs for xs in xss)
 
 
 def _require_strongly_regular_idempotent(e: Matrix, what: str):
@@ -119,9 +102,11 @@ def interior_point(e: Matrix, x: Vector) -> bool:
 def interior_test(e: Matrix, x: Vector) -> bool | None:
     """Package-internal: :func:`interior_point` for a known strongly regular idempotent.
 
-    Returns ``None`` when ``x`` is outside the column space.
+    Returns ``None`` when ``x`` is outside the column space.  The columns
+    are the rows of the transpose's integer view, aligned with ``x`` in one
+    call, so no ``Vector`` is built.
     """
-    cols, (xs,), _ = _aligned(e.column_vectors(), [x])
+    *cols, xs = int_vectors([e.transpose(), x])[0]
     lams, proj = _project(cols, xs)
     if proj != xs:
         return None
@@ -171,10 +156,16 @@ def extremal_columns(e: Matrix) -> list[int]:
 
 
 def duality_map(a: Matrix, x: Vector) -> Vector:
-    """Send a row-space point to the column space: x -> a * (-x)."""
-    if not in_span(a.row_vectors(), x):
+    """Send a row-space point to the column space: x -> a * (-x).
+
+    The rows of ``a`` and ``x`` are aligned to one denominator once; the
+    span test and the product a * (-x), max_j (a[i, j] - x[j]), both run
+    on those ints.
+    """
+    (*rows, xs), den = int_vectors([a, x])
+    if _project(rows, xs)[1] != xs:
         raise PreconditionError("point is not in the row space")
-    return mat_vec(a, -x)
+    return Vector._from_ints([max(map(sub, row, xs)) for row in rows], den)
 
 
 def negation_closed(e: Matrix) -> bool:
@@ -184,12 +175,15 @@ def negation_closed(e: Matrix) -> bool:
     membership of every negated extremal column, in one span test.  A
     strongly regular idempotent has tropical rank n, so all n of its
     columns are extremal (Develin, Santos & Sturmfels, "On the rank of a
-    tropical matrix", 2005).
+    tropical matrix", 2005).  The columns and their negations are the rows
+    of the transpose and of its negation, aligned in one call.
     """
     _require_strongly_regular_idempotent(e, "negation_closed")
-    symmetric = e == e.transpose()
-    cols = e.column_vectors()
-    by_extremals = in_span(cols, *[-c for c in cols])
+    et = e.transpose()
+    symmetric = e == et
+    rows = int_vectors([et, -et])[0]
+    cols, negated = rows[: e.cols], rows[e.cols :]
+    by_extremals = all(_project(cols, xs)[1] == xs for xs in negated)
     if symmetric != by_extremals:
         raise ConsistencyError("negation-closure tests disagree (symmetry vs extremals)")
     return symmetric

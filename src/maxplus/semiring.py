@@ -28,23 +28,26 @@ share one package-internal base class, which holds a value as rows: a
 vector is one row.  It keeps whichever of its two forms, ``Fraction``
 rows or the view (int rows, D), the value was built from and computes
 the other once, on first use, into a slot; two threads racing on that
-computation store equal values.  The base class also owns equality,
-hashing, negation and scaling, so the subclasses add only what depends
-on their shape.  The rows and columns of a matrix are vectors built from
-its view, and ``scale``, ``residuation``, ``mat_vec`` and the vector
-order and lattice operations run on views.
+computation store equal values.  The base class also owns construction,
+equality, hashing, negation and scaling; ``Vector`` keeps no storage
+code of its own, so the subclasses add only what depends on their
+shape.  The rows and columns of a matrix are vectors built from its
+view, and ``scale``, ``residuation``, ``mat_vec`` and the vector order
+and lattice operations run on views.
 
 Only this module knows the format, and it offers one bridge to it.
-:func:`int_grids` gives matrices (or tables) and :func:`int_vectors`
-gives vectors as ints over one common D, both as ``(views, D)``; a
-single value keeps its own view.  :func:`square_grid` is the
-``(grid, D)`` of a square matrix, and :func:`ray_key` keys an int vector
-by its scaling class.  A kernel hands its results back as
-``Matrix._from_ints(grid, D)``, ``Vector._from_ints(ints, D)`` or
-``Fraction(v, D)``.  A table and a matrix of the same rows convert into
-each other in O(1) by sharing both forms, so tables reach the same
-kernels.  A ``Fraction`` is made only for an answer, or for ``entries``
-when a caller asks.
+:func:`int_grids` gives the grids of matrices (or tables), and
+:func:`int_vectors` the rows of any values, a vector being one row, in
+one list; both return ints over one common D, as ``(ints, D)``, and a
+single value keeps its own view.  So a span test reads the columns of a
+matrix as the rows of its transpose, with no ``Vector`` built.
+:func:`square_grid` is the ``(grid, D)`` of a square matrix, and
+:func:`ray_key` keys an int vector by its scaling class.  A kernel hands
+its results back as ``Matrix._from_ints(grid, D)``,
+``Vector._from_ints(ints, D)`` or ``Fraction(v, D)``.  A table and a
+matrix of the same rows convert into each other in O(1) by sharing both
+forms, so tables reach the same kernels.  A ``Fraction`` is made only
+for an answer, or for ``entries`` when a caller asks.
 
 Tuples here are built from lists, not from generators.  CPython builds a
 tuple from a generator by resizing it, and a resized tuple, once freed,
@@ -102,28 +105,18 @@ def scalar(value) -> Fraction:
 def _int_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The integer view of equal-length rows of ``Fraction``s: (int rows, least D).
 
-    Each entry is read once, as its (numerator, denominator) pair.  D is the
-    lcm of the distinct denominators, taken as a pairwise product tree:
-    its operands stay balanced, where a running lcm multiplies one large
-    operand by each small one in turn.  D // q is computed once per distinct
-    q and dropped before the next, so beside the result at most one such
-    factor is held.
+    Each entry is read once, as its (numerator, denominator) pair, into rows.
+    D is the lcm of the distinct denominators, taken as a pairwise product
+    tree: its operands stay balanced, where a running lcm multiplies one
+    large operand by each small one in turn.  Each int is then p * (D // q),
+    with D // q taken per entry.
     """
-    width = len(rows[0])
-    ratios = [e.as_integer_ratio() for row in rows for e in row]
-    where: dict[int, list[int]] = {}  # denominator -> positions in ``ratios``
-    for k, (_, q) in enumerate(ratios):
-        where.setdefault(q, []).append(k)
-    dens = list(where)
+    ratios = [[e.as_integer_ratio() for e in row] for row in rows]
+    dens = list({q for row in ratios for _, q in row})
     while len(dens) > 1:
         dens = [lcm(*dens[k : k + 2]) for k in range(0, len(dens), 2)]
     den = dens[0]
-    ints = [0] * len(ratios)
-    for q, positions in where.items():
-        factor = den // q
-        for k in positions:
-            ints[k] = ratios[k][0] * factor
-    return tuple([tuple(ints[k : k + width]) for k in range(0, len(ints), width)]), den
+    return tuple([tuple([p * (den // q) for p, q in row]) for row in ratios]), den
 
 
 def _of_ints(cls, num, den: int):
@@ -146,11 +139,12 @@ class _Exact:
     # _fracs: Fraction rows; _ints: the integer view (int rows, D).  At least
     # one is set, and each is computed from the other once, on first use.
     __slots__ = ("_fracs", "_ints")
+    _empty = "a matrix needs at least one row and one column"  # the message for no entries
 
     def __init__(self, rows: Iterable[Iterable]):
         grid = tuple([tuple([scalar(e) for e in row]) for row in rows])
         if not grid or not grid[0]:
-            raise ShapeError("a matrix needs at least one row and one column")
+            raise ShapeError(self._empty)
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ShapeError("matrix rows must all have the same length")
@@ -217,31 +211,25 @@ class Vector(_Exact):
     """
 
     __slots__ = ()
+    _empty = "a vector needs at least one entry"
 
     def __init__(self, entries: Iterable):
-        vals = tuple([scalar(e) for e in entries])
-        if not vals:
-            raise ShapeError("a vector needs at least one entry")
-        self._fracs = (vals,)
-        self._ints = None
+        super().__init__([entries])
 
     @classmethod
     def _from_ints(cls, ints, den: int) -> "Vector":
         """Wrap a non-empty sequence of ints over ``den`` > 0."""
-        self = object.__new__(cls)
-        self._fracs = None
-        self._ints = (tuple(ints),), den
-        return self
+        return _of_ints(cls, [ints], den)
 
     @classmethod
     def zeros(cls, n: int) -> "Vector":
         if n < 1:
-            raise ShapeError("a vector needs at least one entry")
+            raise ShapeError(cls._empty)
         return cls._from_ints((0,) * n, 1)
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        return (self._fracs or self._fraction_rows())[0]
+        return self._fraction_rows()[0]
 
     def __len__(self):
         return len(self._any_rows()[0])
@@ -274,19 +262,19 @@ class Vector(_Exact):
         return Vector._from_ints(list(map(min, a, b)), den)
 
 
-def int_vectors(vectors: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    """The entries of equal-length ``vectors`` times one common denominator D.
+def int_vectors(values: Sequence[_Exact]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of ``values`` times one common denominator D; a vector is one row.
 
-    Returns the int tuples and D.  Package-internal, like :func:`int_grids`.
-    Raises ``ShapeError`` if the lengths differ.
+    Returns the int rows, in order, and D.  Package-internal, like
+    :func:`int_grids`.  Raises ``ShapeError`` if the row lengths differ.
     """
-    views = [v._int_view() for v in vectors]
+    views = [a._int_view() for a in values]
     n = len(views[0][0][0])
-    for (ints,), _ in views:
-        if len(ints) != n:
-            raise ShapeError(f"vector lengths differ: {n} vs {len(ints)}")
+    for num, _ in views:
+        if len(num[0]) != n:
+            raise ShapeError(f"vector lengths differ: {n} vs {len(num[0])}")
     den = lcm(*[d for _, d in views])
-    return [ints if d == den else tuple([e * (den // d) for e in ints]) for (ints,), d in views], den
+    return [row for num, d in views for row in _rescale(num, den // d)], den
 
 
 def _shift(den: int, lam: Fraction):
@@ -386,7 +374,7 @@ class Matrix(_Exact):
 def _rescale(num, factor):
     if factor == 1:
         return num
-    return [[e * factor for e in row] for row in num]
+    return [tuple([e * factor for e in row]) for row in num]
 
 
 # Package-internal: the kernels of the other modules run on these, so that

@@ -17,7 +17,6 @@ from maxplus import (
 )
 from maxplus.errors import PreconditionError
 from maxplus.groups import _resolve_idempotent
-from maxplus.polytope import in_span
 from maxplus.semiring import int_grids
 from symmetric_tmat import cube_grid, cycle_grid, pairs_grid, paley_grid, uniform_grid  # noqa: F401
 
@@ -208,10 +207,10 @@ def span_in_hclass(m, n, idempotent=None):
     then ``m`` and e must span each other's columns, and the answer is
     mutual span membership of the columns of ``m`` and ``n``, of the
     negated rows of ``n`` in the column space of ``m`` and of the negated
-    columns of ``m`` in the row space of ``n``: four to six batched
-    ``in_span`` tests.  Once col(m) = col(e) is known, that space has
-    exactly n extremal rays, e being strongly regular, so every column of
-    ``m`` is extremal.
+    columns of ``m`` in the row space of ``n``, each decided by
+    :func:`spans`.  Once col(m) = col(e) is known, that space has exactly
+    n extremal rays, e being strongly regular, so every column of ``m`` is
+    extremal.
     """
     cols_m = m.column_vectors()
     e = _resolve_idempotent(m, idempotent)
@@ -219,7 +218,7 @@ def span_in_hclass(m, n, idempotent=None):
         raise PreconditionError("column space is not that of a strongly regular idempotent")
     if e is not m:  # m spans its own column space
         cols_e = e.column_vectors()
-        if not (in_span(cols_m, *cols_e) and in_span(cols_e, *cols_m)):
+        if not (spans(cols_m, cols_e) and spans(cols_e, cols_m)):
             if idempotent is None:  # e is the star of m: no witness was given
                 raise PreconditionError(
                     "cannot recover an idempotent for the column space; pass one explicitly"
@@ -227,10 +226,18 @@ def span_in_hclass(m, n, idempotent=None):
             raise PreconditionError("witness idempotent has a different column space")
 
     cols_n = n.column_vectors()
-    if not (in_span(cols_m, *cols_n) and in_span(cols_n, *cols_m)):
+    if not (spans(cols_m, cols_n) and spans(cols_n, cols_m)):
         return False
     rows_n = n.row_vectors()
-    return in_span(cols_m, *[-r for r in rows_n]) and in_span(rows_n, *[-c for c in cols_m])
+    return spans(cols_m, [-r for r in rows_n]) and spans(rows_n, [-c for c in cols_m])
+
+
+def spans(generators, points):
+    """Whether every point is in the tropical span of ``generators``.
+
+    Decided by public ``membership``, one point at a time.
+    """
+    return all(membership(generators, x).member for x in points)
 
 
 def brute_idempotent_family(e, lam):

@@ -9,7 +9,8 @@ Fraction oracle from ``helpers`` or a naive loop written here.  Kernel
 results keep an unreduced D: equality and hashing are checked across Ds,
 D is checked to stay within the lcm of the inputs' denominators along
 chains of operations, and the audit entry points are checked at a
-hostile D (a distinct 120-bit denominator per entry).  The
+hostile D (a distinct 120-bit denominator per entry).  A value built from
+``Fraction``s is checked to get the least D.  The
 pairwise rules that read the structure of an idempotent are checked
 against span membership, and counter gates pin how many products,
 assignments, span projections, alignments to one denominator and
@@ -65,7 +66,6 @@ from maxplus import (
 )
 from maxplus.cli import main as cli_main
 from maxplus.matio import serialize_matrix
-from maxplus.polytope import in_span
 from maxplus.svg import render_matrix
 
 from helpers import (
@@ -83,6 +83,7 @@ from helpers import (
     rand_semimetric,
     series_star,
     shift_nonpositive,
+    spans,
     uniform_grid,
 )
 
@@ -277,7 +278,7 @@ def test_membership_matches_brute_force():
         assert res.projection.entries == proj
         assert res.projection == Vector(proj)
         members += member
-        # in_span tests any number of points against generators aligned once
+        # any number of points against the same generators
         points = [
             Vector(naive_join([prime_scalar(batch_rng) for _ in gens], gens))
             if batch_rng.random() < 0.7
@@ -285,17 +286,15 @@ def test_membership_matches_brute_force():
             for _ in range(batch_rng.randint(0, 4))
         ]
         inside = [brute_membership(gens, p)[0] for p in points]
-        assert in_span(gens, *points) == all(inside)
+        assert spans(gens, points) == all(inside)
         batches[all(inside), bool(inside) and inside[0]] += 1
     assert 75 <= members < 150
     # all members, a non-member after a member first, and a non-member first
     assert batches[True, True] >= 20 and batches[False, True] >= 20 and batches[False, False] >= 20
     with pytest.raises(PreconditionError, match="at least one generator"):
-        in_span([], Vector([0]))
-    with pytest.raises(PreconditionError, match="at least one generator"):
-        in_span([])
+        membership([], Vector([0]))
     with pytest.raises(ShapeError, match="vector lengths differ: 2 vs 1"):
-        in_span([Vector([0, 1])], Vector([1, 0]), Vector([0]))
+        membership([Vector([0, 1])], Vector([0]))
 
 
 def test_extremal_indices_collapse_scaling_classes():
@@ -588,6 +587,43 @@ def test_kernels_match_fraction_oracles_at_hostile_denominators():
     assert members[True] >= 4 and members[False] >= 4
 
 
+def distinct_prime_grid(rng, n):
+    """An n x n grid, n <= 6, with a distinct prime denominator in every entry."""
+    primes = [k for k in range(2, 152) if all(k % p for p in range(2, k))]  # 36 primes
+    qs = rng.sample(primes, n * n)
+    return [[Fraction(rng.randint(1, q - 1), q) for q in qs[i * n : (i + 1) * n]] for i in range(n)]
+
+
+def test_int_view_of_fractions_is_least():
+    """For a value built from ``Fraction``s, the view's D is the lcm of the
+    entries' denominators and each int is the entry times D, against a flat
+    ``Fraction`` reference, for a matrix, a vector and a table."""
+    rng = random.Random(220)
+    families = {
+        "repeated small": lambda n: [
+            [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)
+        ],
+        "distinct primes": lambda n: distinct_prime_grid(rng, n),
+        "integers": lambda n: [[Fraction(rng.randint(-30, 30)) for _ in range(n)] for _ in range(n)],
+        "hostile": lambda n: hostile_grid(rng, n, "semimetric"),
+    }
+    dens = Counter()
+    for _ in range(15):
+        for name, draw in families.items():
+            grid = draw(rng.randint(1, 6))
+            table = [[0 if i == j else abs(e) for j, e in enumerate(row)] for i, row in enumerate(grid)]
+            values = ((Matrix(grid), grid), (Vector(grid[0]), grid[:1]), (DistanceTable(table), table))
+            for value, rows in values:
+                flat = [Fraction(e) for row in rows for e in row]
+                ints, den = value._int_view()
+                assert den == lcm(*[e.denominator for e in flat])
+                assert [x for row in ints for x in row] == [e * den for e in flat]
+                dens[name, den == 1] += 1
+    assert dens["integers", True] == 45 and not dens["integers", False]
+    for name in ("repeated small", "distinct primes", "hostile"):
+        assert dens[name, False] >= 30
+
+
 def spectral_projector(a):
     """The join over critical nodes c of S[:, c] + S[c, :], for S the star of ``a``.
 
@@ -672,8 +708,7 @@ def test_pairwise_rules_match_span_membership():
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of products, assignments, ``membership`` calls, span projections,
-    alignments of vector sets to one denominator, batched span tests and
-    eigenvalues."""
+    alignments of rows to one denominator and eigenvalues."""
     counts = Counter()
     for module, name in (
         (semiring_module, "mat_mul"),
@@ -682,7 +717,6 @@ def calls(monkeypatch):
         (polytope_module, "membership"),
         (polytope_module, "_project"),
         (polytope_module, "int_vectors"),
-        (polytope_module, "in_span"),
     ):
         def counted(*args, _orig=getattr(module, name), _name=name):
             counts[_name] += 1
@@ -711,6 +745,20 @@ def test_audit_entry_points_compute_each_fact_once(calls):
     assert (calls["int_vectors"], calls["_project"]) == (1, n)
 
 
+def test_classify_builds_only_the_two_origins(monkeypatch):
+    # the origin tests read the columns off the transpose's view, not as vectors
+    built = Counter()
+
+    def counted(*args, _orig=Vector._from_ints):
+        built["_from_ints"] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(Vector, "_from_ints", staticmethod(counted))
+    m = to_matrix(rand_metric(random.Random(221), 16))
+    assert classify(m).is_metric_matrix
+    assert built["_from_ints"] == 2
+
+
 def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
     n = 16
     rng = random.Random(216)
@@ -722,7 +770,7 @@ def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
     assert hclass_contains(m, member)
     assert not hclass_contains(m, Matrix(outside))
     assert hclass_decompose(m, member) == (Permutation.identity(n), Fraction(5, 3))
-    assert not calls  # no in_span, product, assignment, membership or projection
+    assert not calls  # no alignment, product, assignment, membership or projection
 
 
 def test_hclass_contains_on_a_semimetric_matches_keys_only(calls):
@@ -743,7 +791,7 @@ def test_hclass_contains_on_a_semimetric_matches_keys_only(calls):
     m = Matrix([[s[i, t[j]] + Fraction(j, 7) for j in range(n)] for i in range(n)])
     assert hclass_contains(m, s.scale(-2), idempotent=s)
     assert (calls["mat_mul"], calls["_max_assignment"]) == (0, 1)
-    assert calls["in_span"] == calls["_project"] == calls["int_vectors"] == calls["membership"] == 0
+    assert calls["_project"] == calls["int_vectors"] == calls["membership"] == 0
 
 
 def test_star_computes_the_eigenvalue_only_when_read(calls):
