@@ -105,8 +105,10 @@ def validate(table: DistanceTable) -> ValidationResult:
     A pair (i, j) fails the triangle inequality only through a third point
     k, and d(i, k) + d(k, j) is at least low_out[i] + low_in[j], the least
     entries of row i and column j off the diagonal.  So a pair within that
-    bound cannot fail and is not scanned, and on a symmetric table, where
-    (j, i) fails whenever (i, j) does, only pairs with j >= i are scanned.
+    bound cannot fail and is not scanned.  Symmetry is decided first: on a
+    symmetric table the columns are the rows, so low_in is low_out, and
+    (j, i) fails whenever (i, j) does, so only pairs with j >= i are
+    scanned.
     The cost is O(n^2) when every pair is within the bound, and otherwise
     one O(n) scan per remaining pair; the worst case is still O(n^3).
     """
@@ -115,9 +117,10 @@ def validate(table: DistanceTable) -> ValidationResult:
     if n == 1:
         return ValidationResult(DistanceClass.METRIC, None)
     cols = list(zip(*d))
-    low_out, low_in = _off_diagonal_minima(d), _off_diagonal_minima(cols)
     mirrored = [row == col for row, col in zip(d, cols)]
     half = all(mirrored)
+    low_out = _off_diagonal_minima(d)
+    low_in = low_out if half else _off_diagonal_minima(cols)
     failure = _triangle_failure(d, cols, range(n), low_out, low_in, half)
     if failure is not None:
         return ValidationResult(DistanceClass.NOT_TRIANGLE, failure)
@@ -209,9 +212,9 @@ class ClassificationReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _origin_interior(a: Matrix, sr: bool, idem: bool) -> bool:
-    # interior_test is None when the origin is outside the column space
-    return sr and idem and interior_test(a, Vector.zeros(a.rows)) is True
+def _origin_interior(gens: Matrix, sr: bool, idem: bool) -> bool:
+    # interior_test is None when the origin is outside the span of the rows
+    return sr and idem and interior_test(gens, Vector.zeros(gens.cols)) is True
 
 
 def classify(a: Matrix) -> ClassificationReport:
@@ -232,8 +235,9 @@ def classify(a: Matrix) -> ClassificationReport:
     symmetric = a == at
     cols_zero = all(max(row) == 0 for row in grid)
     rows_zero = all(max(col) == 0 for col in zip(*grid))
-    origin_col = _origin_interior(a, sr, idem)
-    origin_row = _origin_interior(at, sr, idem)
+    # the columns of a are the rows of at, and the other way round
+    origin_col = _origin_interior(at, sr, idem)
+    origin_row = _origin_interior(a, sr, idem)
 
     level = _table_level(a)
     semi = level is not None and level >= DistanceClass.SEMIMETRIC

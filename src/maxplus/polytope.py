@@ -91,7 +91,7 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     matrix that is also not square, or not an idempotent, is reported as
     outside the column space.
     """
-    interior = interior_test(e, x)
+    interior = interior_test(e.transpose(), x)
     if interior is None:
         raise PreconditionError("point is not in the column space")
     require_square(e)
@@ -99,14 +99,16 @@ def interior_point(e: Matrix, x: Vector) -> bool:
     return interior
 
 
-def interior_test(e: Matrix, x: Vector) -> bool | None:
-    """Package-internal: :func:`interior_point` for a known strongly regular idempotent.
+def interior_test(gens: Matrix, x: Vector) -> bool | None:
+    """Package-internal: :func:`interior_point` on the span of the rows of ``gens``.
 
-    Returns ``None`` when ``x`` is outside the column space.  The columns
-    are the rows of the transpose's integer view, aligned with ``x`` in one
-    call, so no ``Vector`` is built.
+    For the column space of e, ``gens`` is e's transpose; for its row
+    space, e itself, so a caller holding both transposes none.  Returns
+    ``None`` when ``x`` is outside the span.  The rows of ``gens``'s
+    integer view are aligned with ``x`` in one call, so no ``Vector`` is
+    built.
     """
-    *cols, xs = int_vectors([e.transpose(), x])[0]
+    *cols, xs = int_vectors([gens, x])[0]
     lams, proj = _project(cols, xs)
     if proj != xs:
         return None

@@ -145,6 +145,66 @@ def test_isometry_group_matches_brute_force():
         assert [p.images for p in isometry_group(table)] == brute_isometries(table)
 
 
+def few_distance_grid(rng, n, symmetric=True):
+    """A random table with one to three distinct off-diagonal values.
+
+    The values lie in [4, 8], so every triangle inequality holds.
+    """
+    values = rng.sample(range(4, 9), rng.randint(1, 3))
+    grid = [[0 if i == j else rng.choice(values) for j in range(n)] for i in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                grid[i][j] = grid[j][i]
+    return grid
+
+
+def test_symmetric_search_matches_brute_force():
+    """The search with sorted-row profiles and the row check alone, against brute force.
+
+    Symmetric tables with few distances have many equal profiles and many
+    branches.  Their twists are asymmetric and take the pair profiles, but
+    a twist's row check implies its column check.  So asymmetric tables
+    with few distances are drawn as well, and directed 7-cycles on a
+    uniform background, where a search without the column check finds
+    maps that are no isometries.  Petersen has ten points, too many for
+    brute force, so its oracle is the listing search.
+    """
+    rng = random.Random(2503)
+    tables = []
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        grid = few_distance_grid(rng, n)
+        tables.append(relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+        tables.append(twisted(rng, grid))
+        tables.append(DistanceTable(few_distance_grid(rng, n, symmetric=False)))
+    for k in range(1, 7):
+        grid = [[0 if i == j else 5 if (j - i) % 7 == k else 7 for j in range(7)] for i in range(7)]
+        tables.append(DistanceTable(grid))
+        tables.append(relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+    for grid in (cycle_grid(rng.randint(3, 8)), cube_grid(3), petersen_grid()):
+        tables.append(relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+        tables.append(twisted(rng, grid))
+    seen = Counter()
+    for table in tables:
+        n, d = table.n, table.entries
+        symmetric = all(d[i][j] == d[j][i] for i in range(n) for j in range(i))
+        if symmetric:
+            # the sorted row and the sorted (out, in) pairs give one partition
+            by_row = [tuple(sorted(row)) for row in d]
+            by_pair = [tuple(sorted(zip(row, col))) for row, col in zip(d, zip(*d))]
+            assert [by_row.index(p) for p in by_row] == [by_pair.index(p) for p in by_pair]
+        group = isometry_group(table)
+        expected = brute_isometries(table) if n <= 8 else listing_isometries(table)
+        assert group.order == len(expected)
+        for g in group.generators:
+            p = g.images
+            assert all(d[p[i]][p[j]] == d[i][j] for i in range(n) for j in range(n))
+        seen[symmetric, group.order > 1] += 1
+    assert seen[True, True] >= 30 and seen[True, False] >= 5
+    assert seen[False, True] >= 20 and seen[False, False] >= 20
+
+
 @pytest.mark.parametrize(
     "grid, order",
     [

@@ -759,6 +759,21 @@ def test_classify_builds_only_the_two_origins(monkeypatch):
     assert built["_from_ints"] == 2
 
 
+def test_classify_transposes_once(monkeypatch):
+    # the column origin reads the rows of classify's own transpose, the row
+    # origin the rows of the matrix itself
+    made = Counter()
+
+    def counted(self, _orig=Matrix.transpose):
+        made["transpose"] += 1
+        return _orig(self)
+
+    monkeypatch.setattr(Matrix, "transpose", counted)
+    m = to_matrix(rand_metric(random.Random(225), 16))
+    assert classify(m).is_metric_matrix
+    assert made["transpose"] == 1
+
+
 def test_hclass_contains_on_a_metric_runs_no_span_test(calls):
     n = 16
     rng = random.Random(216)
