@@ -12,6 +12,11 @@ from .semiring import Matrix, square_grid
 
 __all__ = ["StarResult", "eigenvalue", "kleene_star", "is_idempotent", "star_fixed_point_check"]
 
+# the star's packed pass runs from this many rows, at fields this wide at most;
+# see kleene_star
+_PACKED_MIN_ROWS = 24
+_PACKED_MAX_WIDTH = 96
+
 
 @dataclass(frozen=True)
 class StarResult:
@@ -196,34 +201,111 @@ def kleene_star(a: Matrix) -> StarResult:
     other one, or when d is measured along a star through one hub point.
     If the bound settles every row, the pass costs O(n^2); the worst case
     stays O(n^3).
+
+    Otherwise some entry is positive, and when n >= 24 and w <= 96 (below)
+    the pass runs on packed rows, "SIMD within a register" (Lamport, "Multiple
+    byte processing with full-word instructions", 1975).  Let lo = min(0,
+    least entry), hi the largest entry, and w = bit_length(2 (n-1) hi -
+    2 lo) + 1.  Row i becomes one int whose field j, w bits from bit j w,
+    holds g_ij - 2 lo; H marks the top bit of every field and ONES the
+    lowest.  At pivot k the pass first tests g_ik + g_ki > 0, the only
+    candidate for entry (i, i), so it stops at the same (k, i) as the plain
+    pass.  Else c = row_k + g_ik ONES holds g_ik + g_kj - 2 lo in field j;
+    m = ((row_i | H) - c) & H keeps the top bit of the fields where
+    g_ij >= c_j, m -= m >> (w - 1) fills each such field below that bit,
+    and row_i = c ^ ((row_i ^ c) & m) is the fieldwise maximum, the plain
+    pass's row.  None of this carries or borrows across fields while every
+    field of row_i and of c lies in [0, 2^(w-1)), which holds when every
+    entry lies in [lo, (n-1) hi].  Entries only rise, so none is below lo.
+    Each entry written is the weight of a walk whose inner nodes were
+    pivots, so <= k while pivot k runs.  Cut the walk at repeated nodes into
+    a path, of at most n - 1 edges each <= hi, and simple cycles on nodes
+    <= k.  A cycle whose largest node is m weighs at most g_mm as it stood
+    before pivot m, by the claim above, and that entry is <= 0, as every
+    test before the stop passed.  So an entry off the diagonal is at most
+    (n - 1) hi, and one on it at most 0.  Packing costs O(n^2) int
+    operations, and each of the n (n - 1) row updates a dozen on ints of
+    n w bits.  Measured on CPython 3.11 against the plain pass, on A -
+    lambda with prime denominators: 1.2x at n = 24 and 1.35x at n = 32
+    (w near 70), near 1x at n = 16 and at w near 100, where g_ik ONES
+    multiplies by a fourth 30-bit digit.  The width cap also keeps tables
+    with huge denominators on the plain pass.
     """
     grid, den = square_grid(a)
-    grid = [list(row) for row in grid]
     n = a.rows
     if max(row[i] for i, row in enumerate(grid)) > 0:
         return StarResult(False, None, a)
-    slack = None
-    if max(map(max, grid)) <= 0:
-        # at n = 1 no column has an entry off the diagonal, and only row k = 0 exists
-        hi_in = [max(col[:j] + col[j + 1 :], default=0) for j, col in enumerate(zip(*grid))]
-        slack = [min(map(sub, row, hi_in)) for row in grid]
-    for k in range(n):
-        rowk = grid[k]
-        for i in range(n):
-            rowi = grid[i]
-            ik = rowi[k]
-            if i == k or slack and ik <= slack[i]:
-                continue
-            for j in range(n):
-                cand = ik + rowk[j]
-                if cand > rowi[j]:
-                    rowi[j] = cand
-            if rowi[i] > 0:
-                return StarResult(False, None, a)
+    top = max(map(max, grid))
+    width = 0  # of the packed pass's fields, when it may run
+    if top > 0 and n >= _PACKED_MIN_ROWS:
+        lo = min(0, min(map(min, grid)))
+        width = (2 * (n - 1) * top - 2 * lo).bit_length() + 1
+    if 0 < width <= _PACKED_MAX_WIDTH:
+        grid = _packed_pass(grid, lo, width)
+        if grid is None:
+            return StarResult(False, None, a)
+    else:
+        grid = [list(row) for row in grid]
+        slack = None
+        if top <= 0:
+            # at n = 1 no column has an entry off the diagonal, and only row k = 0 exists
+            hi_in = [max(col[:j] + col[j + 1 :], default=0) for j, col in enumerate(zip(*grid))]
+            slack = [min(map(sub, row, hi_in)) for row in grid]
+        for k in range(n):
+            rowk = grid[k]
+            for i in range(n):
+                rowi = grid[i]
+                ik = rowi[k]
+                if i == k or slack and ik <= slack[i]:
+                    continue
+                for j in range(n):
+                    cand = ik + rowk[j]
+                    if cand > rowi[j]:
+                        rowi[j] = cand
+                if rowi[i] > 0:
+                    return StarResult(False, None, a)
     for i in range(n):
         if grid[i][i] < 0:
             grid[i][i] = 0
     return StarResult(True, Matrix._from_ints(grid, den), a)
+
+
+def _packed_pass(grid, lo: int, width: int) -> list | None:
+    """The pass on rows packed into ints of ``width``-bit fields; None once it diverges.
+
+    Field j of row i holds f_ij = g_ij - 2 lo, which leaves room for the
+    sum of two entries too; :func:`kleene_star` proves that it fits.
+    """
+    n = len(grid)
+    bias = -2 * lo
+    mask = (1 << width) - 1
+    top_bit = width - 1
+    shifts = range(0, n * width, width)
+    ones = ((1 << n * width) - 1) // mask
+    guards = ones << top_bit
+    packed = []
+    for row in grid:
+        r = 0
+        for x in reversed(row):
+            r = r << width | x + bias
+        packed.append(r)
+    for k, rowk in enumerate(packed):
+        # c = base + f_ik ones holds g_ik + g_kj - 2 lo in field j
+        base = rowk - bias * ones
+        # g_ik + g_ki > 0 exactly when f_ik > limit[i]
+        limit = [2 * bias - (rowk >> s & mask) for s in shifts]
+        at = k * width
+        for i, rowi in enumerate(packed):
+            if i == k:
+                continue
+            fik = rowi >> at & mask
+            if fik > limit[i]:
+                return None
+            c = base + fik * ones
+            m = ((rowi | guards) - c) & guards
+            m -= m >> top_bit
+            packed[i] = c ^ ((rowi ^ c) & m)
+    return [[(r >> s & mask) - bias for s in shifts] for r in packed]
 
 
 def is_idempotent(a: Matrix) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .closure import is_idempotent
 from .errors import ConsistencyError, PreconditionError
@@ -46,7 +47,10 @@ def _max_assignment(cost):
     starts it: u = 0, v[j] is the least cost in column j, and column j is
     matched to its first least row when that row is still free.  This dual
     is feasible and tight on the matched pairs, so only the rows left free
-    run the shortest-augmenting-path Hungarian step, O(n^2) each.  A zero
+    run the shortest-augmenting-path Hungarian step, O(n^2) each.  That
+    step is Dijkstra with lazy duals, as in the same paper: it moves the
+    duals once per path rather than once per step, and the images and
+    duals come out as the textbook step's (see :func:`_augment`).  A zero
     diagonal with positive costs elsewhere (the negation of a semimetric
     matrix) is matched in full by the reduction, in O(n^2).
     """
@@ -71,40 +75,47 @@ def _max_assignment(cost):
 
 
 def _augment(cost, u, v, p, i) -> None:
-    """Match free row ``i`` along a shortest augmenting path, updating u, v and p in place."""
+    """Match free row ``i`` along a shortest augmenting path, updating u, v and p in place.
+
+    Dijkstra over the columns not yet reached, kept in index order: each
+    step scans the row matched to the column reached last, at that
+    column's distance d, and reaches the first column of least distance
+    (``min`` keeps the first, as a strict < does).  The duals change once,
+    when a free column is reached at distance D: each reached column j
+    gives D - d_j to the dual of its row and takes it from v_j, and row
+    ``i`` gains D.  The textbook step (e-maxx's Hungarian algorithm) moves
+    the duals by the least slack after every step instead.  Its slacks are
+    these distances less the sum of the earlier moves, one constant per
+    step, and its moves sum to the same D - d_j, so it compares the same
+    numbers in the same order and ends with the same path, images and
+    duals.
+    """
     n = len(cost)
     p[n] = i
-    j0 = n
-    minv = [None] * (n + 1)  # the first scan from row i sets every column
-    used = [False] * (n + 1)
-    way = [n] * (n + 1)
+    way = [n] * n
+    dist = [x - u[i] for x in map(sub, cost[i], v)]  # the first scan sets every column
+    free = list(range(n))
+    reached = []
     while True:
-        used[j0] = True
+        j0 = min(free, key=dist.__getitem__)
+        free.remove(j0)
+        d0 = dist[j0]
         i0 = p[j0]
-        delta = None
-        j1 = None
-        row = cost[i0]
-        ui = u[i0]
-        for j in range(n):
-            if used[j]:
-                continue
-            cur = row[j] - ui - v[j]
-            m = minv[j]
-            if m is None or cur < m:
-                minv[j] = m = cur
-                way[j] = j0
-            if delta is None or m < delta:
-                delta = m
-                j1 = j
-        for j in range(n + 1):
-            if used[j]:
-                u[p[j]] += delta
-                v[j] -= delta
-            else:
-                minv[j] -= delta
-        j0 = j1
-        if p[j0] == n:
+        if i0 == n:
             break
+        reached.append(j0)
+        row = cost[i0]
+        off = d0 - u[i0]
+        for j in free:
+            cur = row[j] - v[j] + off
+            if cur < dist[j]:
+                dist[j] = cur
+                way[j] = j0
+    for j in reached:
+        delta = d0 - dist[j]
+        u[p[j]] += delta
+        v[j] -= delta
+    u[i] += d0
     while j0 != n:
         j1 = way[j0]
         p[j0] = p[j1]
@@ -125,9 +136,11 @@ def _second_optimum_exists(cost, images, u, v) -> bool:
     owner = invert(images)
     succs = []
     indegree = [0] * n
-    for i in range(n):
-        row = cost[i]
-        out = [owner[j] for j in range(n) if j != images[i] and row[j] == u[i] + v[j]]
+    for i, row in enumerate(cost):
+        red = list(map(sub, row, v))  # edge (i, j) is tight when red[j] == u[i]
+        out = []
+        if red.count(u[i]) > 1:  # else the matched edge is the only tight one
+            out = [owner[j] for j, x in enumerate(red) if x == u[i] and j != images[i]]
         for k in out:
             indegree[k] += 1
         succs.append(out)

@@ -1054,6 +1054,89 @@ def test_pruned_star_matches_the_plain_pass_and_the_series():
     assert counts["diverges"] >= 70
 
 
+def plain_stop(a):
+    """The (pivot, row) at which the plain pass stops, or None when it converges."""
+    grid = [list(row) for row in semiring_module.square_grid(a)[0]]
+    n = len(grid)
+    for k in range(n):
+        for i in range(n):
+            if i != k and grid[i][k] + grid[k][i] > 0:
+                return k, i
+            grid[i] = [max(x, grid[i][k] + y) for x, y in zip(grid[i], grid[k])]
+    return None
+
+
+def wide_band_matrix(rng, n, x):
+    """-d for integer distances in [x, 2x], with d(1, 0) = 2x, and entry (0, 1) raised to 2x.
+
+    The triangle inequality holds, so every cycle through (0, 1) weighs at
+    most 2x - d(1, 0) = 0 and the star converges.  Here lo = -2x and hi =
+    2x, so the packed pass's field width w is bit_length(4 n x) + 1.
+    """
+    grid = [[0 if i == j else -rng.randint(x, 2 * x) for j in range(n)] for i in range(n)]
+    grid[1][0], grid[0][1] = -2 * x, 2 * x
+    return Matrix(grid)
+
+
+def test_packed_star_matches_the_plain_pass(monkeypatch):
+    """Above the packed pass's gate: A - lambda with prime denominators, planted
+    positive cycles, and fields just within and just past the width cap.
+
+    On B = A - lambda - 1 every cycle weighs below 0.  Entry (n - 1, m) is
+    raised to B*_(n-1),m, the best walk's weight, which keeps every cycle
+    below 0, and entry (m, n - 1) to 1/D minus that, so that the 2-cycle on
+    m and n - 1 weighs 1/D, one unit of the grid.  Every positive cycle
+    passes through both, so the pass stops at pivot m, row n - 1: the first
+    pivot, a middle one and the last at which a pass can stop.  Without the
+    1/D the best cycles weigh 0 and the star converges.
+    """
+    gate, cap = closure_module._PACKED_MIN_ROWS, closure_module._PACKED_MAX_WIDTH
+    widths = []  # the field width of every packed pass
+    packed_pass = closure_module._packed_pass
+
+    def counted(grid, lo, width):
+        widths.append(width)
+        return packed_pass(grid, lo, width)
+
+    monkeypatch.setattr(closure_module, "_packed_pass", counted)
+    rng = random.Random(233)
+    cases = []
+    for n in (gate - 1, gate, 32, 40):
+        for _ in range(3):
+            a = prime_matrix(rng, n)
+            cases.append(("shifted", a.scale(-eigenvalue(a))))
+        for m in (0, n // 2, n - 2, "zero cycle"):
+            a = prime_matrix(rng, n)
+            base = a.scale(-eigenvalue(a) - 1)
+            grid = [list(row) for row in base.entries]
+            den = lcm(*(x.denominator for row in grid for x in row))
+            at = n // 2 if m == "zero cycle" else m
+            grid[n - 1][at] = plain_star(base)[1][n - 1, at]
+            grid[at][n - 1] = Fraction(m != "zero cycle", den) - grid[n - 1][at]
+            cases.append((m, Matrix(grid)))
+    for n in (gate, 32):
+        for bits in (cap - 2, cap - 1):  # w = cap, then cap + 1
+            x = -(-(2**bits) // (4 * n))
+            cases.append(("wide", wide_band_matrix(rng, n, x)))
+    runs = Counter()
+    for family, a in cases:
+        before = len(widths)
+        res = kleene_star(a)
+        runs[a.rows, family] += len(widths) - before
+        assert (res.converges, res.star) == plain_star(a)
+        stop = plain_stop(a)
+        assert res.converges == (stop is None)
+        if family in ("shifted", "wide", "zero cycle"):
+            assert res.converges
+        else:
+            assert stop == (family, a.rows - 1) and eigenvalue(a) > 0
+    for n in (gate - 1, gate, 32, 40):
+        assert runs[n, "shifted"] == (3 if n >= gate else 0)
+        assert [runs[n, m] for m in (0, n // 2, n - 2, "zero cycle")] == [int(n >= gate)] * 4
+    # w = cap runs the packed pass and w = cap + 1 the plain one
+    assert runs[gate, "wide"] == runs[32, "wide"] == 1 and widths.count(cap) == 2
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_star_of_a_closed_table_makes_no_addition(monkeypatch, n):
     """On -d for a band table (distances in [6, 12]), a hub table and a

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import maxplus.rank as rank_module
+from maxplus.semiring import square_grid
 from maxplus import (
     Matrix,
     Permutation,
@@ -157,6 +158,80 @@ def test_zero_diagonal_with_negative_off_diagonal_needs_no_augmenting(augments):
         assert hclass_contains(m, m)
     assert augments["rows"] == 0
     assert permanent(Matrix([[0, 1], [-1, 0]])).value == 0 and augments["rows"] == 1  # one positive entry
+
+
+def textbook_augment(cost, u, v, p, i):
+    """The e-maxx Hungarian step, which moves every dual after each Dijkstra step."""
+    n = len(cost)
+    p[n] = i
+    j0 = n
+    minv = [None] * (n + 1)
+    used = [False] * (n + 1)
+    way = [n] * (n + 1)
+    while True:
+        used[j0] = True
+        i0 = p[j0]
+        delta = None
+        j1 = None
+        row = cost[i0]
+        ui = u[i0]
+        for j in range(n):
+            if used[j]:
+                continue
+            cur = row[j] - ui - v[j]
+            m = minv[j]
+            if m is None or cur < m:
+                minv[j] = m = cur
+                way[j] = j0
+            if delta is None or m < delta:
+                delta = m
+                j1 = j
+        for j in range(n + 1):
+            if used[j]:
+                u[p[j]] += delta
+                v[j] -= delta
+            else:
+                minv[j] -= delta
+        j0 = j1
+        if p[j0] == n:
+            break
+    while j0 != n:
+        j1 = way[j0]
+        p[j0] = p[j1]
+        j0 = j1
+
+
+def test_lazy_duals_match_the_textbook_step(monkeypatch, augments):
+    """Images and duals of the assignment equal those of the textbook step.
+
+    Entries from {-1, 0, 1} and from -3..3 tie often, in the least slacks
+    and among the column distances, and so test that both steps break
+    ties alike; prime denominators make large distances.  The value and
+    uniqueness flag are checked against enumeration elsewhere.
+    """
+    rng = random.Random(78)
+    grids = []
+    for k in range(2100):
+        n = rng.randint(1, 12)
+        if k % 3 == 0:
+            grids.append([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)])
+        elif k % 3 == 1:
+            grids.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        else:
+            grids.append([[Fraction(rng.randint(-30, 30), rng.choice(PRIMES)) for _ in range(n)] for _ in range(n)])
+    for _ in range(50):
+        grids.append([[Fraction(rng.randint(-30, 30), rng.choice(PRIMES)) for _ in range(32)] for _ in range(32)])
+    augmented = 0
+    for grid in grids:
+        weights, _ = square_grid(Matrix(grid))
+        cost = [[-x for x in row] for row in weights]
+        augments["rows"] = 0
+        lazy = rank_module._max_assignment(cost)
+        augmented += augments["rows"] > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(rank_module, "_augment", textbook_augment)
+            assert rank_module._max_assignment(cost) == lazy
+    assert augmented >= 1500
 
 
 def test_is_strongly_regular_examples():
