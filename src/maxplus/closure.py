@@ -275,7 +275,11 @@ def _packed_pass(grid, lo: int, width: int) -> list | None:
 
     Field j of row i holds f_ij = g_ij - 2 lo, which leaves room for the
     sum of two entries too; :func:`kleene_star` proves that it fits.
+    Divergence at pivot 0 is found before any row is packed.
     """
+    row0 = grid[0]
+    if any(row[0] + x > 0 for row, x in zip(grid, row0)):
+        return None
     n = len(grid)
     bias = -2 * lo
     mask = (1 << width) - 1

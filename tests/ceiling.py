@@ -1,6 +1,6 @@
 """Time the heaviest kernels and commands at sizes that no benchmark workload reaches.
 
-Usage: python tests/ceiling.py [kernel|cli] [--limit SECONDS]
+Usage: python tests/ceiling.py [kernel|cli]
 
 ``kernel`` times, inside one interpreter per case, the least of three
 calls of the Kleene star or the permanent of A - lambda, where A has
@@ -12,7 +12,7 @@ bound.  ``cli`` times ``python -m maxplus classify --json`` on the files
 of tests/hostile_tmat.py at n = 32, 48 and 64, start-up included.  With
 neither, both groups run.
 
-Each case runs in its own process under the per-case limit (default 60 s).
+Each case runs in its own process under a limit of 60 s (``LIMIT``).
 The last output line is one JSON object that maps each case to its wall
 time in seconds, or to "timeout".  A case that fails prints its error
 output, and the script exits 1 when any case failed or timed out.  Inputs
@@ -34,6 +34,7 @@ SRC = HERE.parent / "src"
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 KERNEL = [f"{what} n={n}" for what in ("star A-lambda", "permanent A-lambda", "star l1") for n in (64, 128)]
 CLI = [f"classify hostile n={n}" for n in (32, 48, 64)]
+LIMIT = 60.0  # seconds per case
 
 
 def shifted_matrix(n):
@@ -69,12 +70,12 @@ def run_kernel(case):
     print(min(times))
 
 
-def timed(argv, limit, inside):
+def timed(argv, inside):
     """Wall time of ``argv``, the time it prints when ``inside``, or "timeout"; None if it failed."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
     try:
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=limit)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=LIMIT)
     except subprocess.TimeoutExpired:
         return "timeout"
     wall = time.perf_counter() - start
@@ -85,17 +86,12 @@ def timed(argv, limit, inside):
 
 
 def main(args):
-    limit = 60.0
-    if "--limit" in args:
-        at = args.index("--limit")
-        limit = float(args[at + 1])
-        del args[at : at + 2]
     groups = args or ["kernel", "cli"]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         if "kernel" in groups:
             for case in KERNEL:
-                out[case] = timed([sys.executable, __file__, "--case", case], limit, True)
+                out[case] = timed([sys.executable, __file__, "--case", case], True)
                 print(f"# {case}: {out[case]}", flush=True)
         if "cli" in groups:
             for case in CLI:
@@ -104,7 +100,7 @@ def main(args):
                 path.write_text(subprocess.run([sys.executable, str(HERE / "hostile_tmat.py"), n],
                                                capture_output=True, text=True, check=True).stdout)
                 argv = [sys.executable, "-m", "maxplus", "classify", "--json", str(path)]
-                out[case] = timed(argv, limit, False)
+                out[case] = timed(argv, False)
                 print(f"# {case}: {out[case]}", flush=True)
     print(json.dumps(out))
     return 0 if all(isinstance(value, float) for value in out.values()) else 1
