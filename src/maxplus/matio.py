@@ -21,6 +21,18 @@ so D can reach about n^2 * 128 bits, and every kernel step costs time in
 the bits of D.  A cap on D is an open item (ROADMAP item 3).  The same
 caps hold for the scalars and points given on the command line
 (:func:`parse_scalar`, :func:`parse_point`).
+
+:func:`load_matrix` reads at most ``MAX_BYTES`` bytes of a file, so a
+huge or endless file (``/dev/zero``) is refused without being read.  The
+cap follows from the others.  An entry's numerator and denominator have
+at most 39 digits each (2^128 < 10^39), so a ratio takes at most 80
+characters.  A decimal can be longer: p/2^127 with |p| < 2^128 has 128
+significant digits, so with a sign and a point it takes 130 characters,
+the most any entry within the caps needs without padding.  The largest
+file the caps allow, 128 rows of 128 such entries with one separator
+each, thus has 16,384 * 131 + 15 = 2,146,319 bytes.  ``MAX_BYTES`` is
+8 MiB, which leaves almost four times that for non-canonical formatting
+such as leading zeros, trailing zeros and wide spacing.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ __all__ = [
     "HEADER",
     "MAX_DIM",
     "MAX_ENTRY_BITS",
+    "MAX_BYTES",
     "parse_matrix",
     "serialize_matrix",
     "load_matrix",
@@ -48,6 +61,7 @@ __all__ = [
 HEADER = "tmat 1"
 MAX_DIM = 128
 MAX_ENTRY_BITS = 128
+MAX_BYTES = 8 << 20
 
 
 def format_scalar(x, decimal: bool = False) -> str:
@@ -135,8 +149,11 @@ def serialize_matrix(mat: Matrix, decimal: bool = False) -> str:
 
 def load_matrix(path) -> Matrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_BYTES + 1)
+        if len(data) > MAX_BYTES:
+            raise MatrixParseError(f"cannot read {path}: more than {MAX_BYTES} bytes")
+        text = data.decode("utf-8")
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

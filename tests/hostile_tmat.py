@@ -13,10 +13,9 @@ import sys
 from math import gcd
 
 
-def main(n: int) -> None:
+def text(n: int) -> str:
     rng, used = random.Random(n), set()
-    print("tmat 1")
-    print(n, n)
+    lines = ["tmat 1", f"{n} {n}"]
     for i in range(n):
         row = []
         for j in range(n):
@@ -26,7 +25,12 @@ def main(n: int) -> None:
                 p = rng.randint(-12 * q, -6 * q)
             used.add(q)
             row.append(f"{p}/{q}" if i != j else "0")
-        print(" ".join(row))
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def main(n: int) -> None:
+    print(text(n), end="")
 
 
 if __name__ == "__main__":

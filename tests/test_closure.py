@@ -1,5 +1,3 @@
-import contextlib
-import io
 import operator
 import random
 from collections import Counter
@@ -134,10 +132,7 @@ def long_transient(n):
 
 
 def hostile_matrix(n):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        hostile_tmat.main(n)
-    return parse_matrix(out.getvalue())
+    return parse_matrix(hostile_tmat.text(n))
 
 
 def test_eigenvalue_examples():

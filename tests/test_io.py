@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from maxplus import Matrix, MatrixParseError, Permutation, Vector
+from maxplus import Matrix, MatrixParseError, Permutation, Vector, matio
 from maxplus.matio import (
+    MAX_BYTES,
     MAX_DIM,
     MAX_ENTRY_BITS,
     format_scalar,
@@ -131,6 +132,22 @@ def test_load_matrix_non_utf8_file(tmp_path):
     bad.write_bytes(b"tmat 1\n1 1\n\xff\n")
     with pytest.raises(MatrixParseError, match="not UTF-8 text"):
         load_matrix(bad)
+
+
+def test_load_matrix_reads_at_most_the_byte_cap(tmp_path, monkeypatch):
+    target = tmp_path / "ok.tmat"
+    target.write_text("tmat 1\n1 1\n0\n")
+    size = target.stat().st_size
+    monkeypatch.setattr(matio, "MAX_BYTES", size)
+    assert load_matrix(target) == Matrix([[0]])
+    monkeypatch.setattr(matio, "MAX_BYTES", size - 1)
+    with pytest.raises(MatrixParseError, match=f"more than {size - 1} bytes"):
+        load_matrix(target)
+    # the longest entry within the caps, unpadded: p/2^127 written as a decimal
+    digits = str((2**128 - 1) * 5**127)
+    longest = f"-{digits[:-127]}.{digits[-127:]}"
+    assert len(longest) == 130 and parse_scalar(longest) == Fraction(1 - 2**128, 2**127)
+    assert 3 * (MAX_DIM**2 * (len(longest) + 1) + len(f"tmat 1\n{MAX_DIM} {MAX_DIM}\n")) < MAX_BYTES
 
 
 def test_format_scalar():
