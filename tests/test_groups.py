@@ -482,8 +482,10 @@ def orbit_oracle_tables(rng):
             grid[i][j] = grid[j][i] = rng.choice((grid[i][j] * 3, Fraction(grid[i][j], 3), grid[i][j] + 1))
         elif change < 0.3:  # one broken direction
             grid[i][j] += rng.choice((-1, 1)) * Fraction(1, 2)
-        elif change < 0.4:  # a zero or negative distance
+        elif change < 0.4:  # a zero or negative distance, in both directions or one
             grid[i][j] = rng.choice((0, -1))
+            if change < 0.35:
+                grid[j][i] = grid[i][j]
         yield relabelled(rng, grid, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
 
 
@@ -495,7 +497,9 @@ def test_isometry_group_raises_exactly_when_validate_rejects(row_scans):
     scans must meet every orbit of that listing.  Each rejection is
     counted by the step that made it: the positivity check (no scan), the
     scan of one row per profile class (the first scan), or the scan of
-    one row per orbit after the search (the second).
+    one row per orbit after the search (the second).  A symmetric table
+    refused by the positivity check took its minima from its sorted rows,
+    and those are counted apart as well.
     """
     rng = random.Random(1919)
     seen = Counter()
@@ -507,6 +511,7 @@ def test_isometry_group_raises_exactly_when_validate_rejects(row_scans):
                 isometry_group(table)
             assert row_scans == [] or row_scans[-1][1] is not None
             seen[("positivity", "class rows", "orbit rows")[len(row_scans)]] += 1
+            seen["symmetric positivity"] += not row_scans and table.values == table.values.transpose()
             continue
         group = isometry_group(table)
         expected = listing_isometries(table)
@@ -516,6 +521,7 @@ def test_isometry_group_raises_exactly_when_validate_rejects(row_scans):
         assert all(scanned & {p[x] for p in expected} for x in range(table.n))
         seen["accepted", len(row_scans)] += 1
     assert seen["positivity"] >= 15 and seen["class rows"] >= 100 and seen["orbit rows"] >= 10, seen
+    assert seen["symmetric positivity"] >= 5, seen
     assert seen["accepted", 1] >= 90 and seen["accepted", 2] >= 15, seen
 
 
@@ -524,12 +530,16 @@ def test_isometry_group_scans_one_row_per_orbit(row_scans):
 
     Vertex-transitive tables have one profile class and one orbit, so one
     row is scanned; a table that fails the triangle inequality there is
-    refused before the search visits a node.
+    refused before the search visits a node.  The nodes each search visits
+    are pinned: a change that makes nodes cheaper leaves the counts as
+    they are, and one that prunes the search lowers them here.
     """
-    for grid in (cycle_grid(32), cube_grid(5), uniform_grid(12), petersen_grid(), paley_grid(13)):
+    pinned = ((cycle_grid(32), 77), (cube_grid(5), 230), (uniform_grid(12), 77), (petersen_grid(), 49),
+              (paley_grid(13), 83), (pairs_grid(8), 148))
+    for grid, visited in pinned:
         row_scans.clear()
         group, nodes = search_nodes(DistanceTable(grid))
-        assert isinstance(group, IsometryGroup) and nodes > 0
+        assert isinstance(group, IsometryGroup) and nodes == visited
         assert [rows for rows, _ in row_scans] == [[0]]
     squared = [[t * t for t in row] for row in cycle_grid(32)]
     wide = [[3 if t == 2 else t for t in row] for row in paley_grid(13)]
