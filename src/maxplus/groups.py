@@ -174,31 +174,33 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     Algorithms*, 2003) over the base points n-1, ..., 0, each with the
     subgroup G_i fixing 0..i-1.  When base point i comes up the generators
     found so far generate G_(i+1), and i may go to each point j of its
-    distance bucket from 0 (from the in/out distance profile class of 0
-    when i = 0).  A j already in the orbit of i under the generators is
+    colour bucket from 0 (to each j of the profile class of 0 when
+    i = 0).  A j already in the orbit of i under the generators is
     skipped, and so is a j in the orbit of a j' whose search failed: an
     isometry in G_i sending i to j would give one sending i to j'.  Any
     other j gets one backtracking search for an isometry fixing 0..i-1
-    and sending i to j: each later point m goes only to a point at
-    distance (d(0, m), d(m, 0)) from the image of 0 with the profile class
+    and sending i to j: each later point m goes only to a point whose
+    colour from the image of 0 is that of (0, m), with the profile class
     of m, checked against all earlier points, so a leaf is a full
     isometry.  A success is a new generator, and each one merges two
     orbits, so there are fewer than n generators.  The order is the
     product of the orbit lengths; the elements are listed on demand.
 
-    A point's profile is its sorted (out, in) distance pairs.  On a
-    symmetric table, decided once, each pair is (x, x), so the sorted row
-    alone gives the same classes, labels and search, and is the profile
-    there.  There a candidate x for m is also checked on its row alone:
-    d(x, sigma a) = d(m, a) for the earlier points a already gives
-    d(sigma a, x) = d(a, m), which an asymmetric table checks apart.
+    The search compares colours, never distances.  The colour c(i, j) is
+    the pair (d(i, j), d(j, i)), so two colours are equal exactly when
+    both distances are; on a symmetric table, decided once, it is
+    d(i, j) itself, and the grid of colours is the table, not a copy.  A
+    point's profile is its sorted colour row, and every table gets one
+    check per candidate: x may go to m when c(x, sigma a) = c(m, a) for
+    the earlier points a.
     A list of flags marks the used images: a candidate's flag is set when
     it is placed and cleared when the search backs out of it, and the
     fixed points 0..i-1 stay flagged while base point i runs.  Positivity
-    makes the flags redundant (d(x, sigma a) = d(m, a) > 0 rules out
-    x = sigma a), but a flag rejects a used candidate at once, where the
-    row check would cost it O(m), and U128 took about 20 times as long
-    without them (2.4 against 0.11 s on CPython 3.11).
+    makes the flags redundant (c(x, sigma a) = c(m, a) is no diagonal
+    colour, which rules out x = sigma a), but a flag rejects a used
+    candidate at once, where the row check would cost it O(m), and U128
+    took about 20 times as long without them (2.4 against 0.11 s on
+    CPython 3.11).
 
     The table must be a semimetric, as :func:`~maxplus.metric.validate`
     decides, but its triangle inequality is checked on one row per orbit
@@ -239,9 +241,10 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     d = list(map(list, int_grids(table)[0][0]))
     dt = list(map(list, zip(*d)))
     symmetric = d == dt
-    # each point's sorted distances (sorted (out, in) pairs when the table
-    # is asymmetric); the diagonal adds 0 (or (0, 0)) to every one
-    points = [tuple(sorted(d[i] if symmetric else zip(d[i], dt[i]))) for i in range(n)]
+    # the colour grid, all the search reads: d itself, or the pairs (d(i, j), d(j, i))
+    c = d if symmetric else [list(zip(row, col)) for row, col in zip(d, dt)]
+    # each point's sorted colour row; the diagonal adds 0 (or (0, 0)) to every one
+    points = [tuple(sorted(row)) for row in c]
     if symmetric:
         # a profile's second entry is its row's least off-diagonal entry,
         # or is <= 0 (step 1)
@@ -257,13 +260,13 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     half = len(scanned) == n and symmetric
     if _triangle_failure(d, dt, scanned, low_out, low_in, half) is not None:
         raise PreconditionError(_NOT_SEMIMETRIC)
-    key = [(d[0][j], d[j][0], cls[j]) for j in range(n)]
+    key = [(c[0][j], cls[j]) for j in range(n)]
 
     def buckets(a: int) -> dict:
-        """The points j keyed by (d(a, j), d(j, a), class of j), in order."""
+        """The points j keyed by (colour of (a, j), class of j), in order."""
         out: dict = {}
         for j in range(n):
-            out.setdefault((d[a][j], d[j][a], cls[j]), []).append(j)
+            out.setdefault((c[a][j], cls[j]), []).append(j)
         return out
 
     home = buckets(0)
@@ -273,17 +276,12 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     def extend(m: int, candidates, bucket: dict) -> bool:
         """Complete ``images`` from point m on; ``bucket`` is that of images[0].
 
-        x may go to m when it is unused and its distances to and from the
-        images of 0..m-1 are those of m.
+        x may go to m when it is unused and its colours to the images of
+        0..m-1 are those of m to 0..m-1.
         """
-        pre, row = images[:m], d[m][:m]
-        col = None if symmetric else dt[m][:m]
+        pre, row = images[:m], c[m][:m]
         for x in candidates:
-            if (
-                not used[x]
-                and [d[x][a] for a in pre] == row
-                and (symmetric or [dt[x][a] for a in pre] == col)
-            ):
+            if not used[x] and [c[x][a] for a in pre] == row:
                 images[m] = x
                 used[x] = True
                 done = m + 1 == n or extend(m + 1, bucket.get(key[m + 1], ()), bucket)
@@ -370,9 +368,9 @@ def hclass_element(d: Matrix, sigma: Permutation, lam) -> Matrix:
     the subgroup around ``d``; :func:`hclass_decompose` is its inverse.
     """
     lam = scalar(lam)
-    grid, den = square_grid(d)
     if _table_level(d) != DistanceClass.METRIC:
         raise PreconditionError("hclass_element requires a metric matrix")
+    grid, den = square_grid(d)
     if sigma.n != d.rows:
         raise ShapeError("permutation degree does not match the matrix size")
     if not _is_isometry(grid, sigma.images):

@@ -19,7 +19,7 @@ from .closure import is_idempotent, kleene_star
 from .errors import ConsistencyError, PreconditionError, ShapeError
 from .polytope import interior_test
 from .rank import is_strongly_regular
-from .semiring import Matrix, Vector, _Exact, int_grids, residuation, square_grid
+from .semiring import Matrix, Vector, _Exact, int_grids, require_square, residuation, square_grid
 
 __all__ = [
     "DistanceClass",
@@ -68,12 +68,14 @@ class DistanceTable(_Exact):
 
     def __init__(self, rows):
         super().__init__(rows)
-        (grid,), _ = int_grids(self)
+        # checked on the rows as given: the integer view, built last, can cost far more
+        grid = self._fracs
         if len(grid) != len(grid[0]):
             raise ShapeError("a distance table must be square and non-empty")
         for i, row in enumerate(grid):
             if row[i] != 0:
-                raise PreconditionError(f"self-distance of point {i + 1} is {self.d(i, i)}, not 0")
+                raise PreconditionError(f"self-distance of point {i + 1} is {row[i]}, not 0")
+        self._int_view()
 
     @property
     def n(self) -> int:
@@ -186,8 +188,8 @@ def to_matrix(table: DistanceTable) -> Matrix:
 
 def from_matrix(d: Matrix) -> DistanceTable:
     """Inverse of :func:`to_matrix`; requires an all-zero diagonal."""
-    grid, _ = square_grid(d)
-    if any(grid[i][i] != 0 for i in range(d.rows)):
+    require_square(d)  # the diagonal is read before the integer view is built
+    if any(row[i] != 0 for i, row in enumerate(d._any_rows())):
         raise PreconditionError("matrix has a nonzero diagonal entry")
     return (-d)._as(DistanceTable)
 

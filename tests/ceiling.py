@@ -87,6 +87,11 @@ CASES = [
          " ".join(map(str, range(1, 49))) + "\n"),
     # render refuses the size (exit 3) before building the integer view
     Case("render hostile n=128", lambda: hostile(128), maxplus("render", IN, "-o", f"{TMP}/out.svg"), 10, 3),
+    # d(1, 1) = 1: refused (exit 3) before building the integer view
+    *(Case(f"{what} hostile n=128 d(1, 1) = 1", lambda: hostile(128).replace("\n0 ", "\n1 ", 1),
+           maxplus(what, IN, *extra), 10, 3)
+      for what, extra in (("isometries", ()), ("embed", ()),
+                          ("hclass", ("--perm", " ".join(map(str, range(1, 129))))))),
     Case("classify 0xff byte", lambda: b"tmat 1\n1 1\n\xff\n", maxplus("classify", IN), code=2),
     Case("classify /dev/zero", None, maxplus("classify", "/dev/zero"), 5, 2),
     Case("render into a missing directory", lambda: tmat([[0, -1], [-2, 0]]),

@@ -535,7 +535,10 @@ def test_isometry_group_scans_one_row_per_orbit(row_scans):
     they are, and one that prunes the search lowers them here.
     """
     pinned = ((cycle_grid(32), 77), (cube_grid(5), 230), (uniform_grid(12), 77), (petersen_grid(), 49),
-              (paley_grid(13), 83), (pairs_grid(8), 148))
+              (paley_grid(13), 83), (pairs_grid(8), 148),
+              # asymmetric: the directed cycle and the Paley tournaments, q = 3 mod 4
+              (directed_cycle_grid(16), 16), (paley_grid(7), 17), (paley_grid(11), 43),
+              (paley_grid(19), 131), (paley_grid(23), 169), (paley_grid(31), 522))
     for grid, visited in pinned:
         row_scans.clear()
         group, nodes = search_nodes(DistanceTable(grid))

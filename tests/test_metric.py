@@ -5,17 +5,20 @@ from fractions import Fraction
 import pytest
 
 import maxplus.metric as metric_module
+import maxplus.semiring as semiring_module
 
 from maxplus import (
     DistanceClass,
     DistanceTable,
     Matrix,
+    Permutation,
     PreconditionError,
     ShapeError,
     Vector,
     classify,
     embed,
     from_matrix,
+    hclass_element,
     hilbert_distance,
     is_antichain,
     membership,
@@ -51,6 +54,22 @@ def test_distance_table_requires_zero_diagonal():
         DistanceTable([[1]])
     with pytest.raises(ShapeError):
         DistanceTable([[0, 1]])
+
+
+def test_nonzero_diagonal_is_refused_before_the_integer_view(monkeypatch):
+    """The view of a file with huge denominators can take a minute; a bad diagonal is refused without it."""
+
+    def no_view(rows):
+        raise AssertionError("integer view built")
+
+    monkeypatch.setattr(semiring_module, "_int_rows", no_view)
+    rows = [[1, Fraction(-7, 3)], [Fraction(-5, 11), 0]]
+    with pytest.raises(PreconditionError, match="^self-distance of point 1 is 1, not 0$"):
+        DistanceTable(rows)
+    with pytest.raises(PreconditionError, match="^matrix has a nonzero diagonal entry$"):
+        from_matrix(Matrix(rows))
+    with pytest.raises(PreconditionError, match="^hclass_element requires a metric matrix$"):
+        hclass_element(Matrix(rows), Permutation([0, 1]), 0)
 
 
 def test_validate_examples():
