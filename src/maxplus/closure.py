@@ -225,11 +225,13 @@ def kleene_star(a: Matrix) -> StarResult:
     test before the stop passed.  So an entry off the diagonal is at most
     (n - 1) hi, and one on it at most 0.  Packing costs O(n^2) int
     operations, and each of the n (n - 1) row updates a dozen on ints of
-    n w bits.  Measured on CPython 3.11 against the plain pass, on A -
-    lambda with prime denominators: 1.2x at n = 24 and 1.35x at n = 32
-    (w near 70), near 1x at n = 16 and at w near 100, where g_ik ONES
-    multiplies by a fourth 30-bit digit.  The width cap also keeps tables
-    with huge denominators on the plain pass.
+    n w bits.  On A - lambda with prime denominators (w near 70) the
+    packed pass is faster than the plain pass from n = 24 and slower below
+    it, where packing outweighs the updates; ``BENCH_packed_gate.json``
+    holds the times at n = 8 to 32, hence the gate.  At w near 100 it
+    measured near 1x on CPython 3.11, as g_ik ONES multiplies by a fourth
+    30-bit digit.  The width cap also keeps tables with huge denominators
+    on the plain pass.
     """
     grid, den = square_grid(a)
     n = a.rows

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MaxplusError", "ShapeError", "PreconditionError", "ConsistencyError", "MatrixParseError"]
+
 
 class MaxplusError(Exception):
     """Base class for all errors raised by this package."""

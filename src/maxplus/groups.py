@@ -199,8 +199,8 @@ def isometry_group(table: DistanceTable) -> IsometryGroup:
     makes the flags redundant (c(x, sigma a) = c(m, a) is no diagonal
     colour, which rules out x = sigma a), but a flag rejects a used
     candidate at once, where the row check would cost it O(m), and U128
-    took about 20 times as long without them (2.4 against 0.11 s on
-    CPython 3.11).
+    took about 20 times as long without them (the isometry-flags entry of
+    ``CHANGES.md`` holds the times).
 
     The table must be a semimetric, as :func:`~maxplus.metric.validate`
     decides, but its triangle inequality is checked on one row per orbit
@@ -395,9 +395,9 @@ def hclass_decompose(e: Matrix, n: Matrix) -> tuple[Permutation, Fraction] | Non
     """
     if not (e.is_square and n.is_square and e.rows == n.rows):
         raise ShapeError("hclass_decompose requires square matrices of equal size")
-    (ge, gn), den = int_grids(e, n)
     if _table_level(e) != DistanceClass.METRIC:
         raise PreconditionError("hclass_decompose requires a metric matrix")
+    (ge, gn), den = int_grids(e, n)
     images = [col.index(max(col)) for col in zip(*gn)]
     if len(set(images)) != len(images) or not _is_isometry(ge, images):
         return None

@@ -6,12 +6,18 @@ to see the lines as they complete.  Everything asserted here is exact.
 """
 
 import functools
+import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 
+import maxplus
 from maxplus import (
     DistanceTable,
     Matrix,
@@ -319,3 +325,35 @@ def test_criterion_11_cli_io(tmp_path, capsys):
     big.write_text(serialize_matrix(Matrix(CLAW.entries)))
     assert main(["render", str(big), "-o", str(tmp_path / "y.svg")]) == 3
     capsys.readouterr()
+
+
+@criterion("12: the package re-exports each module's __all__, and nothing else")
+def test_criterion_12_public_surface():
+    names = ("closure", "errors", "groups", "metric", "permutation", "polytope", "rank", "semiring")
+    exported = set()
+    for name in names:
+        module = importlib.import_module(f"maxplus.{name}")
+        assert getattr(maxplus, name) is module
+        for public in module.__all__:
+            assert getattr(maxplus, public) is getattr(module, public), (name, public)
+        exported.update(module.__all__)
+    # a fresh interpreter: the other tests import cli, matio and svg into this one
+    probe = (
+        "import json, sys, maxplus; print(json.dumps(["
+        "[n for n in dir(maxplus) if not n.startswith('__')],"
+        "[m for m in sys.modules if m.split('.')[0] == 'maxplus']]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(maxplus.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, check=True)
+    public, loaded = json.loads(out.stdout)
+    assert set(public) == exported | set(names)
+    assert set(loaded) == {"maxplus"} | {f"maxplus.{name}" for name in names}
+    errors = maxplus.errors
+    classes = [n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)]
+    assert sorted(errors.__all__) == sorted(classes) == [
+        "ConsistencyError",
+        "MatrixParseError",
+        "MaxplusError",
+        "PreconditionError",
+        "ShapeError",
+    ]

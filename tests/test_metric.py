@@ -18,6 +18,7 @@ from maxplus import (
     classify,
     embed,
     from_matrix,
+    hclass_decompose,
     hclass_element,
     hilbert_distance,
     is_antichain,
@@ -70,6 +71,8 @@ def test_nonzero_diagonal_is_refused_before_the_integer_view(monkeypatch):
         from_matrix(Matrix(rows))
     with pytest.raises(PreconditionError, match="^hclass_element requires a metric matrix$"):
         hclass_element(Matrix(rows), Permutation([0, 1]), 0)
+    with pytest.raises(PreconditionError, match="^hclass_decompose requires a metric matrix$"):
+        hclass_decompose(Matrix(rows), Matrix(rows))
 
 
 def test_validate_examples():
